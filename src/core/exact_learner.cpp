@@ -1,7 +1,6 @@
 #include "core/exact_learner.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
@@ -41,24 +40,6 @@ void prune_dominated(std::vector<Hypothesis>& frontier) {
   frontier.resize(w);
 }
 
-/// Insert h into out unless an equal (matrix, assumptions) state exists.
-/// `index` maps hash -> indices into out for collision resolution.
-void insert_deduped(std::vector<Hypothesis>& out,
-                    std::unordered_map<std::uint64_t, std::vector<std::size_t>>& index,
-                    Hypothesis h) {
-  const std::uint64_t hash = h.hash();
-  auto it = index.find(hash);
-  if (it != index.end()) {
-    for (std::size_t i : it->second) {
-      if (out[i] == h) return;
-    }
-    it->second.push_back(out.size());
-  } else {
-    index.emplace(hash, std::vector<std::size_t>{out.size()});
-  }
-  out.push_back(std::move(h));
-}
-
 }  // namespace
 
 LearnResult learn_exact(const Trace& trace, const ExactConfig& config) {
@@ -89,7 +70,7 @@ LearnResult learn_exact(const Trace& trace, const ExactConfig& config) {
       const auto& cands = pc.candidates(msg);
 
       std::vector<Hypothesis> next;
-      std::unordered_map<std::uint64_t, std::vector<std::size_t>> index;
+      HypothesisIndex index;
       next.reserve(frontier.size());
 
       for (const Hypothesis& h : frontier) {
@@ -98,7 +79,7 @@ LearnResult learn_exact(const Trace& trace, const ExactConfig& config) {
           Hypothesis child = h;
           child.assume(p, history);
           ++stats.hypotheses_created;
-          insert_deduped(next, index, std::move(child));
+          insert_unique(next, index, std::move(child));
         }
       }
 

@@ -10,37 +10,30 @@
 
 namespace bbmg {
 
-/// Phase indices for the learner's sampling self-profiler (the enum order
-/// is the phase_names order in learner_profiler()).
-enum class LearnerPhase : std::size_t {
-  /// Candidate sender/receiver enumeration (PeriodCandidates build).
-  Enumerate = 0,
-  /// Version-space expansion: per-message hypothesis branching.
-  Branch = 1,
-  /// Lattice LUB + bound pruning (BoundedList merge_two_least).
-  LubMerge = 2,
-  /// Version-space update: frontier post-processing after the period.
-  PostProcess = 3,
-  /// Period-history recording.
-  History = 4,
+/// Phase indices for the learner's sampling self-profiler (the order is
+/// the phase_names order in learner_profiler()).
+struct LearnerPhase {
+  enum : std::size_t {
+    /// Candidate sender/receiver enumeration (PeriodCandidates build).
+    Enumerate,
+    /// The message loop: per-message hypothesis branching, the bounded
+    /// list's duplicate scan and its least-upper-bound merges.
+    Branch,
+    /// Frontier post-processing after the period.
+    PostProcess,
+    /// Period-history recording.
+    History,
+  };
 };
 
 /// Process-wide sampling profiler over the online learner's period loop
-/// (`bbmg_learner_phase_ns_total{phase=...}` et al.).  Stride defaults to
+/// (`bbmg_learner_phase_ns_total{phase=...}` et al., with hardware counters
+/// as `bbmg_perf_learner_*_total{phase=...}`).  Stride defaults to
 /// kDefaultProfilerStride; bench_obs sets 1 for exact attribution.
-/// Hardware counters (`bbmg_perf_learner_*_total{phase=...}`) and per-phase
-/// allocation counters are enabled up front so every scrape surface carries
-/// IPC, miss rates and heap churn per phase.
 inline obs::PhaseProfiler& learner_profiler() {
   static obs::PhaseProfiler profiler(
-      "bbmg_learner",
-      {"enumerate", "branch", "lub_merge", "post_process", "history"});
-  static const bool dimensions_enabled = [] {
-    profiler.enable_hw_counters("bbmg_perf_learner");
-    profiler.enable_alloc_counters();
-    return true;
-  }();
-  (void)dimensions_enabled;
+      "bbmg_learner", "bbmg_perf_learner",
+      {"enumerate", "branch", "post_process", "history"});
   return profiler;
 }
 

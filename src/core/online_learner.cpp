@@ -7,8 +7,6 @@
 #include "core/learner_metrics.hpp"
 #include "core/post_process.hpp"
 #include "core/vspace_stats.hpp"
-#include "obs/alloc_track.hpp"
-#include "obs/perf/perf_counters.hpp"
 #include "obs/span.hpp"
 
 namespace bbmg {
@@ -20,33 +18,19 @@ struct Scored {
   std::uint64_t weight;
 };
 
-/// Accumulates lattice-merge time and heap churn inside a sampled period
-/// (the profiler's lub_merge phase); null when the period is not sampled,
-/// so the unsampled hot path never reads a clock.
-struct MergeTimer {
-  std::uint64_t ns{0};
-  std::uint64_t calls{0};
-  std::uint64_t alloc_bytes{0};
-  std::uint64_t allocs{0};
-};
-
 /// The bounded, weight-ascending hypothesis list of §3.2: adding a
 /// hypothesis beyond the bound merges the two least-weight (most specific)
 /// members into their least upper bound, with the union of their
 /// assumption sets (see DESIGN.md §2 for this choice).
 class BoundedList {
  public:
-  BoundedList(std::size_t bound, LearnStats& stats,
-              MergeTimer* merge_timer = nullptr)
-      : bound_(bound), stats_(stats), merge_timer_(merge_timer) {}
+  BoundedList(std::size_t bound, LearnStats& stats)
+      : bound_(bound), stats_(stats) {}
 
   [[nodiscard]] bool empty() const { return items_.empty(); }
 
   void add(Hypothesis h) {
-    Scored scored{std::move(h), 0};
-    scored.weight = scored.h.d.weight();
-    if (is_duplicate(scored)) return;
-    insert_sorted(std::move(scored));
+    insert(std::move(h));
     while (items_.size() > bound_) merge_two_least();
   }
 
@@ -60,38 +44,26 @@ class BoundedList {
 
  private:
   /// Set semantics: duplicates would burn bound slots for nothing (the
-  /// exact learner unifies eagerly too).
-  [[nodiscard]] bool is_duplicate(const Scored& s) const {
+  /// exact learner unifies eagerly too).  The duplicate scan is linear and
+  /// compares hypotheses only on a weight tie.  Gating it on a cached
+  /// Hypothesis::hash() merges identically, but trades one regime for the
+  /// other (GM trace, 4-core Xeon, GCC 12): bound 16 learned 2.4x faster
+  /// (236-277 -> 98-123 ms per trace), bound 1 55% slower (1.66-1.75 ->
+  /// 2.61-2.74 ms), since every child then pays an O(n^2) hash that a
+  /// one-element list never needs.  A hash kept up to date in O(1) inside
+  /// Hypothesis removes the trade-off (ROADMAP).
+  void insert(Hypothesis h) {
+    const std::uint64_t weight = h.d.weight();
     for (const Scored& x : items_) {
-      if (x.weight == s.weight && x.h == s.h) return true;
+      if (x.weight == weight && x.h == h) return;
     }
-    return false;
-  }
-
-  void insert_sorted(Scored s) {
     auto it = std::upper_bound(
-        items_.begin(), items_.end(), s.weight,
+        items_.begin(), items_.end(), weight,
         [](std::uint64_t w, const Scored& x) { return w < x.weight; });
-    items_.insert(it, std::move(s));
+    items_.insert(it, Scored{std::move(h), weight});
   }
 
   void merge_two_least() {
-    if (merge_timer_ != nullptr) {
-      const obs::AllocCounters a0 = obs::thread_alloc_counters();
-      const std::uint64_t start = obs::now_ns();
-      merge_two_least_impl();
-      merge_timer_->ns += obs::now_ns() - start;
-      const obs::AllocCounters d =
-          obs::alloc_delta(a0, obs::thread_alloc_counters());
-      merge_timer_->alloc_bytes += d.bytes;
-      merge_timer_->allocs += d.count;
-      ++merge_timer_->calls;
-      return;
-    }
-    merge_two_least_impl();
-  }
-
-  void merge_two_least_impl() {
     BBMG_ASSERT(items_.size() >= 2, "merge requires two hypotheses");
     Scored a = std::move(items_[0]);
     Scored b = std::move(items_[1]);
@@ -99,15 +71,11 @@ class BoundedList {
     Hypothesis merged(a.h.d.lub(b.h.d), std::move(a.h.used));
     merged.used.unite(b.h.used);
     ++stats_.merges;
-    Scored scored{std::move(merged), 0};
-    scored.weight = scored.h.d.weight();
-    if (is_duplicate(scored)) return;
-    insert_sorted(std::move(scored));
+    insert(std::move(merged));
   }
 
   std::size_t bound_;
   LearnStats& stats_;
-  MergeTimer* merge_timer_{nullptr};
   std::vector<Scored> items_;
 };
 
@@ -129,33 +97,12 @@ void OnlineLearner::observe_period(const Period& period) {
   const std::uint64_t created0 = stats_.hypotheses_created;
   const std::uint64_t merges0 = stats_.merges;
   const std::uint64_t unexplained0 = stats_.unexplained_messages;
-
-  // Phase attribution: 1-in-stride periods time each phase (ROADMAP's
-  // hot-path work starts from this measured breakdown); unsampled periods
-  // pay one relaxed fetch_add and zero clock reads.
-  obs::PhaseProfiler& profiler = learner_profiler();
-  const bool sampled = profiler.sample();
-  MergeTimer merge_timer;
-
-  // Sampled periods additionally read the thread's hardware-counter group
-  // (one read(2) per phase boundary; skipped when the PMU is unsupported)
-  // and the thread-local allocation totals (three plain loads).
-  obs::PerfCounterGroup* hw = nullptr;
-  if (sampled) {
-    obs::PerfCounterGroup& group = obs::PerfCounterGroup::this_thread();
-    if (group.supported()) hw = &group;
-  }
-  const obs::PerfSample hw_start = hw != nullptr ? hw->read() : obs::PerfSample{};
-  const obs::AllocCounters a_start =
-      sampled ? obs::thread_alloc_counters() : obs::AllocCounters{};
-  const std::uint64_t t_start = sampled ? obs::now_ns() : 0;
+  // 1-in-stride periods are timed phase by phase; the rest pay one relaxed
+  // fetch_add and no clock read.
+  obs::PhaseProfiler::Unit profiled(learner_profiler());
 
   const PeriodCandidates pc(period, num_tasks_);
-  const std::uint64_t t_enumerated = sampled ? obs::now_ns() : 0;
-  const obs::PerfSample hw_enumerated =
-      hw != nullptr ? hw->read() : obs::PerfSample{};
-  const obs::AllocCounters a_enumerated =
-      sampled ? obs::thread_alloc_counters() : obs::AllocCounters{};
+  profiled.lap(LearnerPhase::Enumerate);
 
   for (std::size_t msg = 0; msg < pc.num_messages(); ++msg) {
     ++stats_.messages_processed;
@@ -168,7 +115,7 @@ void OnlineLearner::observe_period(const Period& period) {
           static_cast<std::uint64_t>(frontier_.size()) * cands.size());
     }
 
-    BoundedList list(config_.bound, stats_, sampled ? &merge_timer : nullptr);
+    BoundedList list(config_.bound, stats_);
     for (const Hypothesis& h : frontier_) {
       for (const CandidatePair& p : cands) {
         if (h.pair_used(p)) continue;
@@ -190,99 +137,15 @@ void OnlineLearner::observe_period(const Period& period) {
     }
     stats_.peak_hypotheses = std::max(stats_.peak_hypotheses, frontier_.size());
   }
-  const std::uint64_t t_branched = sampled ? obs::now_ns() : 0;
-  const obs::PerfSample hw_branched =
-      hw != nullptr ? hw->read() : obs::PerfSample{};
-  const obs::AllocCounters a_branched =
-      sampled ? obs::thread_alloc_counters() : obs::AllocCounters{};
+  profiled.lap(LearnerPhase::Branch, pc.num_messages());
 
   post_process_period(frontier_, pc);
-  const std::uint64_t t_posted = sampled ? obs::now_ns() : 0;
-  const obs::PerfSample hw_posted =
-      hw != nullptr ? hw->read() : obs::PerfSample{};
-  const obs::AllocCounters a_posted =
-      sampled ? obs::thread_alloc_counters() : obs::AllocCounters{};
+  profiled.lap(LearnerPhase::PostProcess);
+
   ++stats_.periods_processed;
   stats_.frontier_after_period.push_back(frontier_.size());
   history_.record_period(pc);
-
-  if (sampled) {
-    const std::uint64_t t_end = obs::now_ns();
-    using P = LearnerPhase;
-    profiler.record(static_cast<std::size_t>(P::Enumerate),
-                    t_enumerated - t_start);
-    // The message loop minus the time clocked inside lattice merges is the
-    // branching phase (child hypothesis creation + duplicate checks).
-    const std::uint64_t loop_ns = t_branched - t_enumerated;
-    const std::uint64_t merge_ns =
-        merge_timer.ns < loop_ns ? merge_timer.ns : loop_ns;
-    profiler.record(static_cast<std::size_t>(P::Branch), loop_ns - merge_ns,
-                    pc.num_messages());
-    profiler.record(static_cast<std::size_t>(P::LubMerge), merge_timer.ns,
-                    merge_timer.calls);
-    profiler.record(static_cast<std::size_t>(P::PostProcess),
-                    t_posted - t_branched);
-    profiler.record(static_cast<std::size_t>(P::History), t_end - t_posted);
-    profiler.record_unit(t_end - t_start);
-
-    if (hw != nullptr) {
-      const obs::PerfSample hw_end = hw->read();
-      profiler.record_hw(static_cast<std::size_t>(P::Enumerate),
-                         obs::perf_delta(hw_start, hw_enumerated));
-      // Merges run nested inside the branching loop; splitting their
-      // counters exactly would cost a syscall per merge, so the loop's
-      // delta is prorated by the wall-time split (documented in DESIGN.md
-      // — the estimate assumes comparable IPC across the two phases).
-      const obs::PerfDelta loop_hw = obs::perf_delta(hw_enumerated, hw_branched);
-      obs::PerfDelta merge_hw;
-      obs::PerfDelta branch_hw = loop_hw;
-      if (loop_ns > 0 && merge_ns > 0) {
-        const double f = static_cast<double>(merge_ns) /
-                         static_cast<double>(loop_ns);
-        auto share = [f](std::uint64_t v) {
-          return static_cast<std::uint64_t>(static_cast<double>(v) * f);
-        };
-        merge_hw.cycles = share(loop_hw.cycles);
-        merge_hw.instructions = share(loop_hw.instructions);
-        merge_hw.cache_misses = share(loop_hw.cache_misses);
-        merge_hw.branch_misses = share(loop_hw.branch_misses);
-        branch_hw.cycles = loop_hw.cycles - merge_hw.cycles;
-        branch_hw.instructions = loop_hw.instructions - merge_hw.instructions;
-        branch_hw.cache_misses = loop_hw.cache_misses - merge_hw.cache_misses;
-        branch_hw.branch_misses = loop_hw.branch_misses - merge_hw.branch_misses;
-      }
-      profiler.record_hw(static_cast<std::size_t>(P::Branch), branch_hw);
-      profiler.record_hw(static_cast<std::size_t>(P::LubMerge), merge_hw);
-      profiler.record_hw(static_cast<std::size_t>(P::PostProcess),
-                         obs::perf_delta(hw_branched, hw_posted));
-      profiler.record_hw(static_cast<std::size_t>(P::History),
-                         obs::perf_delta(hw_posted, hw_end));
-    }
-
-    // Allocation attribution is exact: boundary deltas per phase, with the
-    // merge share measured inside MergeTimer rather than prorated.
-    const obs::AllocCounters a_end = obs::thread_alloc_counters();
-    const obs::AllocCounters d_enum = obs::alloc_delta(a_start, a_enumerated);
-    profiler.record_alloc(static_cast<std::size_t>(P::Enumerate), d_enum.bytes,
-                          d_enum.count);
-    const obs::AllocCounters d_loop = obs::alloc_delta(a_enumerated, a_branched);
-    const std::uint64_t merge_bytes = merge_timer.alloc_bytes < d_loop.bytes
-                                          ? merge_timer.alloc_bytes
-                                          : d_loop.bytes;
-    const std::uint64_t merge_allocs =
-        merge_timer.allocs < d_loop.count ? merge_timer.allocs : d_loop.count;
-    profiler.record_alloc(static_cast<std::size_t>(P::Branch),
-                          d_loop.bytes - merge_bytes,
-                          d_loop.count - merge_allocs);
-    profiler.record_alloc(static_cast<std::size_t>(P::LubMerge), merge_bytes,
-                          merge_allocs);
-    const obs::AllocCounters d_post = obs::alloc_delta(a_branched, a_posted);
-    profiler.record_alloc(static_cast<std::size_t>(P::PostProcess),
-                          d_post.bytes, d_post.count);
-    const obs::AllocCounters d_hist = obs::alloc_delta(a_posted, a_end);
-    profiler.record_alloc(static_cast<std::size_t>(P::History), d_hist.bytes,
-                          d_hist.count);
-  }
+  profiled.lap(LearnerPhase::History);
 
   if (vspace_stats_ != nullptr) {
     vspace_stats_->on_period(frontier_.size(), approx_frontier_bytes());

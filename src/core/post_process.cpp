@@ -1,7 +1,5 @@
 #include "core/post_process.hpp"
 
-#include <unordered_set>
-
 namespace bbmg {
 
 void weaken_unmet_requirements(Hypothesis& h, const PeriodCandidates& pc) {
@@ -37,28 +35,25 @@ void weaken_possibly_unmet_requirements(Hypothesis& h,
   }
 }
 
+void insert_unique(std::vector<Hypothesis>& out, HypothesisIndex& index,
+                   Hypothesis h) {
+  const std::uint64_t hash = h.hash();
+  const auto [first, last] = index.equal_range(hash);
+  for (auto it = first; it != last; ++it) {
+    if (out[it->second] == h) return;
+  }
+  index.emplace(hash, out.size());
+  out.push_back(std::move(h));
+}
+
 void remove_duplicates_and_redundant(std::vector<Hypothesis>& frontier) {
   // Unify equal matrices (assumptions are expected to be cleared already,
   // but equality on Hypothesis covers both fields, so this is safe either
   // way).
-  std::unordered_set<std::uint64_t> seen_hashes;
   std::vector<Hypothesis> unique;
   unique.reserve(frontier.size());
-  for (auto& h : frontier) {
-    const std::uint64_t hash = h.hash();
-    if (seen_hashes.contains(hash)) {
-      bool dup = false;
-      for (const auto& u : unique) {
-        if (u.hash() == hash && u == h) {
-          dup = true;
-          break;
-        }
-      }
-      if (dup) continue;
-    }
-    seen_hashes.insert(hash);
-    unique.push_back(std::move(h));
-  }
+  HypothesisIndex index;
+  for (auto& h : frontier) insert_unique(unique, index, std::move(h));
 
   // Remove non-minimal elements: h is redundant iff some other (distinct)
   // h' in the set satisfies h' <= h.

@@ -14,6 +14,8 @@
 //      the more specific one matches).
 #pragma once
 
+#include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "core/candidates.hpp"
@@ -38,6 +40,15 @@ void weaken_possibly_unmet_requirements(Hypothesis& h,
 /// hypotheses have empty assumption sets.
 void post_process_period(std::vector<Hypothesis>& frontier,
                          const PeriodCandidates& pc);
+
+/// Hypothesis::hash() -> position in the hypothesis vector it indexes.
+using HypothesisIndex = std::unordered_multimap<std::uint64_t, std::size_t>;
+
+/// Keep-first set insert, the one dedup both learners use: appends h to
+/// `out` unless an equal (matrix, assumption-set) hypothesis is already
+/// there.  `index` must describe `out` (start both empty).
+void insert_unique(std::vector<Hypothesis>& out, HypothesisIndex& index,
+                   Hypothesis h);
 
 /// Steps 3-4 only (unification + redundancy removal), used by result
 /// finalization and by tests.

@@ -45,15 +45,6 @@ DependencyMatrix DependencyMatrix::lub(const DependencyMatrix& other) const {
   return out;
 }
 
-DependencyMatrix DependencyMatrix::glb(const DependencyMatrix& other) const {
-  BBMG_REQUIRE(n_ == other.n_, "matrix size mismatch");
-  DependencyMatrix out(n_);
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    out.cells_[i] = dep_glb(cells_[i], other.cells_[i]);
-  }
-  return out;
-}
-
 std::uint64_t DependencyMatrix::weight() const {
   std::uint64_t w = 0;
   for (DepValue v : cells_) w += dep_distance(v);

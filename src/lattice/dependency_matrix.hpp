@@ -52,9 +52,6 @@ class DependencyMatrix {
   /// Pointwise least upper bound; both matrices must have equal size.
   [[nodiscard]] DependencyMatrix lub(const DependencyMatrix& other) const;
 
-  /// Pointwise greatest lower bound.
-  [[nodiscard]] DependencyMatrix glb(const DependencyMatrix& other) const;
-
   /// Sum of dep_distance over all ordered pairs (paper Definition 8).
   [[nodiscard]] std::uint64_t weight() const;
 

@@ -112,21 +112,6 @@ inline constexpr std::array<DepValue, kNumDepValues> kAllDepValues = {
   return DepValue::MaybeMutual;
 }
 
-/// Greatest lower bound (meet) of two values.
-[[nodiscard]] constexpr DepValue dep_glb(DepValue a, DepValue b) {
-  if (dep_leq(a, b)) return a;
-  if (dep_leq(b, a)) return b;
-  // Incomparable pairs meeting below: {->?,<->} -> ->, {<-?,<->} -> <-,
-  // everything else meets at bottom.
-  auto is = [](DepValue x, DepValue y, DepValue p, DepValue q) {
-    return (x == p && y == q) || (x == q && y == p);
-  };
-  if (is(a, b, DepValue::MaybeForward, DepValue::Mutual)) return DepValue::Forward;
-  if (is(a, b, DepValue::MaybeBackward, DepValue::Mutual))
-    return DepValue::Backward;
-  return DepValue::Parallel;
-}
-
 /// The value seen from the opposite orientation: mirror(d(t1,t2)) is what a
 /// fresh assumption about the same message writes into d(t2,t1).
 [[nodiscard]] constexpr DepValue dep_mirror(DepValue v) {

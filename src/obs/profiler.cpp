@@ -1,24 +1,45 @@
 #include "obs/profiler.hpp"
 
 #include "common/error.hpp"
+#include "obs/span.hpp"
 
 namespace bbmg::obs {
 
 PhaseProfiler::PhaseProfiler(const std::string& prefix,
-                             std::vector<std::string> phase_names)
-    : prefix_(prefix) {
+                             const std::string& hw_prefix,
+                             std::vector<std::string> phase_names) {
   BBMG_REQUIRE(!phase_names.empty(), "profiler: need at least one phase");
   MetricsRegistry& reg = MetricsRegistry::instance();
   slots_.reserve(phase_names.size());
   for (std::string& name : phase_names) {
+    auto counter = [&](const std::string& family, const char* help) {
+      return &reg.counter(labeled_name(family, "phase", name), help);
+    };
     Slot slot;
-    slot.ns = &reg.counter(
-        labeled_name(prefix + "_phase_ns_total", "phase", name),
-        "Estimated nanoseconds attributed to each phase of the profiled "
-        "unit (stride-scaled sample)");
-    slot.calls = &reg.counter(
-        labeled_name(prefix + "_phase_calls_total", "phase", name),
-        "Estimated phase executions (stride-scaled sample)");
+    slot.ns = counter(prefix + "_phase_ns_total",
+                      "Estimated nanoseconds attributed to each phase of the "
+                      "profiled unit (stride-scaled sample)");
+    slot.calls = counter(prefix + "_phase_calls_total",
+                         "Estimated phase executions (stride-scaled sample)");
+    slot.cycles = counter(
+        hw_prefix + "_cycles_total",
+        "Estimated CPU cycles per phase (stride-scaled perf sample)");
+    slot.instructions = counter(hw_prefix + "_instructions_total",
+                                "Estimated retired instructions per phase "
+                                "(stride-scaled perf sample)");
+    slot.cache_misses = counter(
+        hw_prefix + "_cache_misses_total",
+        "Estimated cache misses per phase (stride-scaled perf sample)");
+    slot.branch_misses = counter(
+        hw_prefix + "_branch_misses_total",
+        "Estimated branch misses per phase (stride-scaled perf sample)");
+    slot.alloc_bytes = counter(prefix + "_phase_alloc_bytes_total",
+                               "Estimated heap bytes requested per phase "
+                               "(stride-scaled sample; zero when "
+                               "BBMG_ALLOC_TRACK is off)");
+    slot.allocs = counter(prefix + "_phase_allocs_total",
+                          "Estimated allocations per phase (stride-scaled "
+                          "sample; zero when BBMG_ALLOC_TRACK is off)");
     slot.name = std::move(name);
     slots_.push_back(std::move(slot));
   }
@@ -29,6 +50,29 @@ PhaseProfiler::PhaseProfiler(const std::string& prefix,
       prefix + "_profiled_ns_total",
       "Estimated total wall nanoseconds of profiled units (attribution "
       "denominator, stride-scaled)");
+}
+
+void PhaseProfiler::Unit::begin() {
+  const PerfCounterGroup& group = PerfCounterGroup::this_thread();
+  if (group.supported()) {
+    hw_ = &group;
+    last_hw_ = group.read();
+  }
+  last_alloc_ = thread_alloc_counters();
+  start_ns_ = last_ns_ = now_ns();
+}
+
+void PhaseProfiler::Unit::charge(std::size_t phase, std::uint64_t calls) {
+  const std::uint64_t ns = now_ns();
+  const PerfSample hw = hw_ != nullptr ? hw_->read() : PerfSample{};
+  const AllocCounters alloc = thread_alloc_counters();
+  profiler_->record(phase, ns - last_ns_, calls);
+  profiler_->record_hw(phase, perf_delta(last_hw_, hw));
+  const AllocCounters churn = alloc_delta(last_alloc_, alloc);
+  profiler_->record_alloc(phase, churn.bytes, churn.count);
+  last_ns_ = ns;
+  last_hw_ = hw;
+  last_alloc_ = alloc;
 }
 
 void PhaseProfiler::record(std::size_t phase, std::uint64_t ns,
@@ -45,29 +89,8 @@ void PhaseProfiler::record_unit(std::uint64_t total_ns) {
   total_ns_->inc(total_ns * k);
 }
 
-void PhaseProfiler::enable_hw_counters(const std::string& hw_prefix) {
-  if (hw_enabled_) return;
-  MetricsRegistry& reg = MetricsRegistry::instance();
-  for (Slot& slot : slots_) {
-    slot.cycles = &reg.counter(
-        labeled_name(hw_prefix + "_cycles_total", "phase", slot.name),
-        "Estimated CPU cycles per phase (stride-scaled perf sample)");
-    slot.instructions = &reg.counter(
-        labeled_name(hw_prefix + "_instructions_total", "phase", slot.name),
-        "Estimated retired instructions per phase (stride-scaled perf "
-        "sample)");
-    slot.cache_misses = &reg.counter(
-        labeled_name(hw_prefix + "_cache_misses_total", "phase", slot.name),
-        "Estimated cache misses per phase (stride-scaled perf sample)");
-    slot.branch_misses = &reg.counter(
-        labeled_name(hw_prefix + "_branch_misses_total", "phase", slot.name),
-        "Estimated branch misses per phase (stride-scaled perf sample)");
-  }
-  hw_enabled_ = true;
-}
-
 void PhaseProfiler::record_hw(std::size_t phase, const PerfDelta& delta) {
-  if (!hw_enabled_ || phase >= slots_.size() || !delta.any()) return;
+  if (phase >= slots_.size() || !delta.any()) return;
   const std::uint64_t k = scale();
   const Slot& slot = slots_[phase];
   if (delta.cycles != 0) slot.cycles->inc(delta.cycles * k);
@@ -78,25 +101,9 @@ void PhaseProfiler::record_hw(std::size_t phase, const PerfDelta& delta) {
   }
 }
 
-void PhaseProfiler::enable_alloc_counters() {
-  if (alloc_enabled_) return;
-  MetricsRegistry& reg = MetricsRegistry::instance();
-  for (Slot& slot : slots_) {
-    slot.alloc_bytes = &reg.counter(
-        labeled_name(prefix_ + "_phase_alloc_bytes_total", "phase", slot.name),
-        "Estimated heap bytes requested per phase (stride-scaled sample; "
-        "zero when BBMG_ALLOC_TRACK is off)");
-    slot.allocs = &reg.counter(
-        labeled_name(prefix_ + "_phase_allocs_total", "phase", slot.name),
-        "Estimated allocations per phase (stride-scaled sample; zero when "
-        "BBMG_ALLOC_TRACK is off)");
-  }
-  alloc_enabled_ = true;
-}
-
 void PhaseProfiler::record_alloc(std::size_t phase, std::uint64_t bytes,
                                  std::uint64_t count) {
-  if (!alloc_enabled_ || phase >= slots_.size()) return;
+  if (phase >= slots_.size()) return;
   const std::uint64_t k = scale();
   if (bytes != 0) slots_[phase].alloc_bytes->inc(bytes * k);
   if (count != 0) slots_[phase].allocs->inc(count * k);
@@ -115,34 +122,28 @@ std::uint64_t PhaseProfiler::phase_calls(std::size_t phase) const {
   return phase >= slots_.size() ? 0 : slots_[phase].calls->value();
 }
 
-namespace {
-std::uint64_t slot_value(const Counter* c) {
-  return c == nullptr ? 0 : c->value();
-}
-}  // namespace
-
 std::uint64_t PhaseProfiler::phase_cycles(std::size_t phase) const {
-  return phase >= slots_.size() ? 0 : slot_value(slots_[phase].cycles);
+  return phase >= slots_.size() ? 0 : slots_[phase].cycles->value();
 }
 
 std::uint64_t PhaseProfiler::phase_instructions(std::size_t phase) const {
-  return phase >= slots_.size() ? 0 : slot_value(slots_[phase].instructions);
+  return phase >= slots_.size() ? 0 : slots_[phase].instructions->value();
 }
 
 std::uint64_t PhaseProfiler::phase_cache_misses(std::size_t phase) const {
-  return phase >= slots_.size() ? 0 : slot_value(slots_[phase].cache_misses);
+  return phase >= slots_.size() ? 0 : slots_[phase].cache_misses->value();
 }
 
 std::uint64_t PhaseProfiler::phase_branch_misses(std::size_t phase) const {
-  return phase >= slots_.size() ? 0 : slot_value(slots_[phase].branch_misses);
+  return phase >= slots_.size() ? 0 : slots_[phase].branch_misses->value();
 }
 
 std::uint64_t PhaseProfiler::phase_alloc_bytes(std::size_t phase) const {
-  return phase >= slots_.size() ? 0 : slot_value(slots_[phase].alloc_bytes);
+  return phase >= slots_.size() ? 0 : slots_[phase].alloc_bytes->value();
 }
 
 std::uint64_t PhaseProfiler::phase_allocs(std::size_t phase) const {
-  return phase >= slots_.size() ? 0 : slot_value(slots_[phase].allocs);
+  return phase >= slots_.size() ? 0 : slots_[phase].allocs->value();
 }
 
 double PhaseProfiler::attributed_fraction() const {

@@ -4,7 +4,9 @@
 // the learner: one observed period) to a fixed set of named phases.  The
 // unit is sampled 1-in-stride: an unsampled unit pays exactly one relaxed
 // fetch_add (the sampling decision) and zero clock reads, so the profiler
-// can stay on in production; a sampled unit pays one clock pair per phase.
+// can stay on in production; a sampled unit pays one clock read, one
+// hardware-counter group read and three thread-local loads per phase
+// boundary.
 // Accumulated nanoseconds and call counts land in registered counters
 // (`<prefix>_phase_ns_total{phase="..."}` etc.), so the attribution rides
 // every existing scrape surface — exposition, the wire MetricsRequest, and
@@ -20,14 +22,11 @@
 // unaffected because the scale cancels.  bench_obs still runs with stride 1
 // to make the attribution exact rather than estimated.
 //
-// Optional extra dimensions, sampled at the same phase boundaries:
-//  - enable_hw_counters(hw_prefix): per-phase hardware-counter totals
-//    (`<hw_prefix>_{cycles,instructions,cache_misses,branch_misses}_total`)
-//    fed by record_hw() with PerfCounterGroup deltas — IPC and miss rates
-//    per phase.
-//  - enable_alloc_counters(): per-phase heap-churn totals
-//    (`<prefix>_phase_alloc_bytes_total` / `<prefix>_phase_allocs_total`)
-//    fed by record_alloc() with alloc_track deltas.
+// Two more dimensions ride the same phase boundaries: hardware counters
+// (`<hw_prefix>_{cycles,instructions,cache_misses,branch_misses}_total`,
+// PerfCounterGroup deltas — IPC and miss rates per phase) and heap churn
+// (`<prefix>_phase_alloc_bytes_total` / `<prefix>_phase_allocs_total`,
+// alloc_track deltas).  Callers time a unit with the RAII Unit below.
 //
 // With BBMG_OBS=OFF, sample() returns false (no clock reads anywhere) and
 // record() compiles to nothing.
@@ -38,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/alloc_track.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perf/perf_counters.hpp"
 
@@ -51,9 +51,45 @@ class PhaseProfiler {
   /// Registers `<prefix>_phase_ns_total{phase=...}` and
   /// `<prefix>_phase_calls_total{phase=...}` per phase, plus
   /// `<prefix>_profiled_units_total` and `<prefix>_profiled_ns_total`,
-  /// into the process-wide registry.
-  PhaseProfiler(const std::string& prefix,
+  /// then the hardware (`<hw_prefix>_cycles_total{phase=...}` etc.) and
+  /// allocation dimensions, into the process-wide registry.
+  PhaseProfiler(const std::string& prefix, const std::string& hw_prefix,
                 std::vector<std::string> phase_names);
+
+  /// RAII timer over one unit of work.  Construction makes the sampling
+  /// decision; an unsampled unit reads nothing (laps and the destructor
+  /// return at once).  On a sampled unit each lap(phase, calls) charges the
+  /// wall time, hardware-counter delta and allocation delta since the
+  /// previous boundary (construction or the last lap) to `phase`, and the
+  /// destructor records the unit total, construction to last lap — so the
+  /// phases tile the unit exactly.
+  class Unit {
+   public:
+    explicit Unit(PhaseProfiler& profiler)
+        : profiler_(profiler.sample() ? &profiler : nullptr) {
+      if (profiler_ != nullptr) begin();
+    }
+    ~Unit() {
+      if (profiler_ != nullptr) profiler_->record_unit(last_ns_ - start_ns_);
+    }
+    Unit(const Unit&) = delete;
+    Unit& operator=(const Unit&) = delete;
+
+    void lap(std::size_t phase, std::uint64_t calls = 1) {
+      if (profiler_ != nullptr) charge(phase, calls);
+    }
+
+   private:
+    void begin();
+    void charge(std::size_t phase, std::uint64_t calls);
+
+    PhaseProfiler* profiler_;  // null on an unsampled unit
+    const PerfCounterGroup* hw_{nullptr};  // null without a usable PMU
+    std::uint64_t start_ns_{0};
+    std::uint64_t last_ns_{0};
+    PerfSample last_hw_;
+    AllocCounters last_alloc_;
+  };
 
   PhaseProfiler(const PhaseProfiler&) = delete;
   PhaseProfiler& operator=(const PhaseProfiler&) = delete;
@@ -85,19 +121,9 @@ class PhaseProfiler {
   /// Record a sampled unit's total wall time (the attribution denominator).
   void record_unit(std::uint64_t total_ns);
 
-  /// Opt into per-phase hardware counters, registered as
-  /// `<hw_prefix>_cycles_total{phase=...}` etc.  Idempotent.
-  void enable_hw_counters(const std::string& hw_prefix);
-  [[nodiscard]] bool hw_enabled() const { return hw_enabled_; }
-  /// Charge a sampled phase's counter delta (no-op before
-  /// enable_hw_counters or when the delta is empty).
+  /// Charge a sampled phase's hardware-counter delta.
   void record_hw(std::size_t phase, const PerfDelta& delta);
-
-  /// Opt into per-phase allocation counters, registered as
-  /// `<prefix>_phase_alloc_bytes_total{phase=...}` and
-  /// `<prefix>_phase_allocs_total{phase=...}`.  Idempotent.
-  void enable_alloc_counters();
-  [[nodiscard]] bool alloc_enabled() const { return alloc_enabled_; }
+  /// Charge a sampled phase's heap churn.
   void record_alloc(std::size_t phase, std::uint64_t bytes,
                     std::uint64_t count);
 
@@ -132,22 +158,17 @@ class PhaseProfiler {
     std::string name;
     Counter* ns{nullptr};
     Counter* calls{nullptr};
-    // hw dimension (null until enable_hw_counters)
     Counter* cycles{nullptr};
     Counter* instructions{nullptr};
     Counter* cache_misses{nullptr};
     Counter* branch_misses{nullptr};
-    // alloc dimension (null until enable_alloc_counters)
     Counter* alloc_bytes{nullptr};
     Counter* allocs{nullptr};
   };
 
-  std::string prefix_;
   std::vector<Slot> slots_;
   Counter* units_{nullptr};
   Counter* total_ns_{nullptr};
-  bool hw_enabled_{false};
-  bool alloc_enabled_{false};
   std::atomic<std::uint32_t> stride_{kDefaultProfilerStride};
   std::atomic<std::uint64_t> tick_{0};
 };

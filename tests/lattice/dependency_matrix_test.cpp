@@ -78,17 +78,6 @@ TEST(DependencyMatrix, LubIsPointwiseAndAnUpperBound) {
   }
 }
 
-TEST(DependencyMatrix, GlbIsPointwiseAndALowerBound) {
-  Rng rng(4);
-  for (int i = 0; i < 30; ++i) {
-    const DependencyMatrix a = random_matrix(4, rng);
-    const DependencyMatrix b = random_matrix(4, rng);
-    const DependencyMatrix m = a.glb(b);
-    EXPECT_TRUE(m.leq(a));
-    EXPECT_TRUE(m.leq(b));
-  }
-}
-
 TEST(DependencyMatrix, LeqAgreesWithLub) {
   Rng rng(5);
   for (int i = 0; i < 50; ++i) {

@@ -13,7 +13,7 @@ namespace {
 
 TEST(PhaseProfiler, SamplesOneInStride) {
   if (!kEnabled) GTEST_SKIP() << "instrumentation compiled out";
-  PhaseProfiler prof("bbmg_test_stride", {"a"});
+  PhaseProfiler prof("bbmg_test_stride", "bbmg_test_stride_hw", {"a"});
   prof.set_stride(4);
   std::uint64_t sampled = 0;
   for (int i = 0; i < 400; ++i) {
@@ -23,14 +23,15 @@ TEST(PhaseProfiler, SamplesOneInStride) {
 }
 
 TEST(PhaseProfiler, StrideZeroDisablesSampling) {
-  PhaseProfiler prof("bbmg_test_off", {"a"});
+  PhaseProfiler prof("bbmg_test_off", "bbmg_test_off_hw", {"a"});
   prof.set_stride(0);
   for (int i = 0; i < 64; ++i) EXPECT_FALSE(prof.sample());
   EXPECT_EQ(prof.units(), 0u);
 }
 
 TEST(PhaseProfiler, AttributionMathAndRegisteredCounters) {
-  PhaseProfiler prof("bbmg_test_attr", {"parse", "merge"});
+  PhaseProfiler prof("bbmg_test_attr", "bbmg_test_attr_hw",
+                     {"parse", "merge"});
   prof.set_stride(1);
 
   // Two sampled units: phases cover 900 of 1000 ns total.
@@ -68,7 +69,7 @@ TEST(PhaseProfiler, AttributionMathAndRegisteredCounters) {
 }
 
 TEST(PhaseProfiler, ZeroSamplesGivesZeroFraction) {
-  PhaseProfiler prof("bbmg_test_empty", {"a"});
+  PhaseProfiler prof("bbmg_test_empty", "bbmg_test_empty_hw", {"a"});
   EXPECT_DOUBLE_EQ(prof.attributed_fraction(), 0.0);
 }
 

@@ -23,8 +23,8 @@ TEST(ProfilerStride, CountsAreExactAtStrides1_16_256) {
   constexpr std::uint64_t kUnits = 1024;  // divisible by every stride below
   for (const std::uint32_t stride : {1u, 16u, 256u}) {
     // Prefixes are registry-global, so each profiler needs its own.
-    PhaseProfiler profiler("test_stride_" + std::to_string(stride),
-                           {"alpha", "beta"});
+    const std::string prefix = "test_stride_" + std::to_string(stride);
+    PhaseProfiler profiler(prefix, prefix + "_hw", {"alpha", "beta"});
     profiler.set_stride(stride);
     ASSERT_EQ(profiler.stride(), stride);
 
@@ -49,10 +49,33 @@ TEST(ProfilerStride, CountsAreExactAtStrides1_16_256) {
   }
 }
 
+TEST(ProfilerStride, UnitLapsTileAndScaleAtStrides1_16_256) {
+  if (!kEnabled) GTEST_SKIP() << "BBMG_OBS=OFF: sample() never fires";
+
+  constexpr std::uint64_t kUnits = 1024;
+  for (const std::uint32_t stride : {1u, 16u, 256u}) {
+    const std::string prefix = "test_stride_unit_" + std::to_string(stride);
+    PhaseProfiler profiler(prefix, prefix + "_hw", {"alpha", "beta"});
+    profiler.set_stride(stride);
+    for (std::uint64_t i = 0; i < kUnits; ++i) {
+      PhaseProfiler::Unit unit(profiler);
+      unit.lap(0);
+      unit.lap(1, /*calls=*/2);
+    }
+    EXPECT_EQ(profiler.units(), kUnits) << "stride " << stride;
+    EXPECT_EQ(profiler.phase_calls(0), kUnits) << "stride " << stride;
+    EXPECT_EQ(profiler.phase_calls(1), 2 * kUnits) << "stride " << stride;
+    // The laps tile each unit, so the named phases carry its whole time.
+    EXPECT_EQ(profiler.phase_ns(0) + profiler.phase_ns(1), profiler.total_ns())
+        << "stride " << stride;
+  }
+}
+
 TEST(ProfilerStride, RegisteredCountersCarryTheScaledTotals) {
   if (!kEnabled) GTEST_SKIP() << "BBMG_OBS=OFF";
 
-  PhaseProfiler profiler("test_stride_metrics", {"only"});
+  PhaseProfiler profiler("test_stride_metrics", "test_stride_metrics_hw",
+                         {"only"});
   profiler.set_stride(8);
   for (int i = 0; i < 64; ++i) {
     if (profiler.sample()) {
@@ -74,21 +97,21 @@ TEST(ProfilerStride, RegisteredCountersCarryTheScaledTotals) {
 TEST(ProfilerStride, StrideZeroDisablesSampling) {
   if (!kEnabled) GTEST_SKIP() << "BBMG_OBS=OFF";
 
-  PhaseProfiler profiler("test_stride_zero", {"p"});
+  PhaseProfiler profiler("test_stride_zero", "test_stride_zero_hw", {"p"});
   profiler.set_stride(0);
   for (int i = 0; i < 100; ++i) EXPECT_FALSE(profiler.sample());
+  // An unsampled Unit's laps and destructor record nothing.
+  for (int i = 0; i < 100; ++i) PhaseProfiler::Unit(profiler).lap(0);
   EXPECT_EQ(profiler.units(), 0u);
+  EXPECT_EQ(profiler.phase_calls(0), 0u);
+  EXPECT_EQ(profiler.total_ns(), 0u);
 }
 
 TEST(ProfilerStride, HwAndAllocDimensionsScaleIdentically) {
   if (!kEnabled) GTEST_SKIP() << "BBMG_OBS=OFF";
 
-  PhaseProfiler profiler("test_stride_dims", {"p"});
+  PhaseProfiler profiler("test_stride_dims", "test_stride_dims_hw", {"p"});
   profiler.set_stride(16);
-  profiler.enable_hw_counters("test_stride_dims_hw");
-  profiler.enable_alloc_counters();
-  ASSERT_TRUE(profiler.hw_enabled());
-  ASSERT_TRUE(profiler.alloc_enabled());
 
   PerfDelta d;
   d.cycles = 10;
