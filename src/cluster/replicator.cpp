@@ -100,9 +100,9 @@ std::uint64_t Replicator::epoch() const {
 }
 
 bool Replicator::admit_write(std::uint64_t epoch) {
-  // Epoch 0 is the unfenced legacy stamp (a pre-v6 client, or one that
-  // never learned a map) — always admitted; fencing begins once a writer
-  // declares which regime it believes in.
+  // Epoch 0 is the unfenced stamp (a writer that never learned a map) —
+  // always admitted; fencing begins once a writer declares which regime it
+  // believes in.
   if (epoch == 0 || epoch >= fence_epoch_.load(std::memory_order_relaxed)) {
     return true;
   }

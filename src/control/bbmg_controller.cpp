@@ -10,7 +10,7 @@
 // the stock SLOs, answering HealthRequest on --port) and wires its
 // per-tick verdict into a Controller: a primary that stays Down through
 // the confirmation window gets its follower promoted, the epoch-bumped
-// map is pushed to every surviving daemon over v6 MapUpdate frames, and
+// map is pushed to every surviving daemon over MapUpdate frames, and
 // the resurrected ex-primary is later re-admitted as follower to heal
 // replication.  Clients never drive the failover — they just follow the
 // pushed map via Fenced replies and refreshes.

@@ -2,7 +2,7 @@
 // plane"): a Controller consumes the monitor's per-tick HealthReport and
 // turns sustained primary death into an executed failover — promote the
 // follower, bump the cluster-map epoch, push the new map into every
-// surviving daemon over v6 MapUpdate frames — with no operator and no
+// surviving daemon over MapUpdate frames — with no operator and no
 // client cooperation required.
 //
 // Detection is deliberately conservative.  A primary must report Down
@@ -75,7 +75,7 @@ using MapPush = std::function<bool(const cluster::Endpoint& node,
                                    const ClusterMapResponseMsg& map)>;
 
 /// The production MapPush: a fresh ResilientClient per push (the targets
-/// change across failovers; caching connections buys little), v6
+/// change across failovers; caching connections buys little), one
 /// MapUpdate, success = accepted or already at/above the pushed epoch.
 /// Exceptions are swallowed into `false` — an unreachable daemon is a
 /// normal condition mid-failover.

@@ -89,7 +89,11 @@ OnlineLearner::OnlineLearner(std::size_t num_tasks, const OnlineConfig& config)
   stats_.peak_hypotheses = 1;
 }
 
-void OnlineLearner::observe_period(const Period& period) {
+// Starts on a cache line so its inner loops sit at the same offsets in
+// every binary, whatever code the linker places before it.  Left to the
+// default 16-byte alignment, a 32-byte shift of unrelated serve code made
+// offline learning at bound 64 about 1.5x slower (4-core Xeon, GCC 12).
+[[gnu::aligned(64)]] void OnlineLearner::observe_period(const Period& period) {
   LearnerMetrics& metrics = LearnerMetrics::get();
   obs::Span span(&metrics.period_latency_us, "learner.period");
   // Hot-path accounting stays in the plain LearnStats fields; the global

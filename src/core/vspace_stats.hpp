@@ -10,7 +10,7 @@
 // actually performs).  These are the numbers the planned hot-path rewrite
 // must move, so they are built on the unregistered atomic primitives
 // (AtomicCounter/AtomicMax + plain atomics), which keep counting with
-// BBMG_OBS=OFF — the v7 VspaceRequest wire surface and `bbmg_client
+// BBMG_OBS=OFF — the VspaceRequest wire surface and `bbmg_client
 // vspace` behave identically in both builds.
 //
 // Writers: the owning learner's worker thread.  Readers: any thread (the

@@ -12,7 +12,7 @@
 // (ingest latency, client RTT, client error ratio) as multi-window
 // burn rates.  Alert transitions are structured-logged as
 // "monitor.slo_transition"; the current verdict is served on --port
-// (default 7350; 0 picks an ephemeral port and prints it) to any v5 peer —
+// (default 7350; 0 picks an ephemeral port and prints it) to any wire peer —
 // `bbmg_client health <host> <port>` renders it.
 //
 // Modes: default runs as a daemon printing a one-line summary per

@@ -156,16 +156,15 @@ void Monitor::listen_loop() {
 
 void Monitor::serve_connection(int fd) {
   FrameDecoder decoder;
+  bool greeted = false;
   try {
     while (auto frame = net::read_frame(fd, decoder)) {
+      require_hello_first(greeted, frame->type);
       switch (frame->type) {
         case FrameType::Hello: {
-          const HelloMsg hello = HelloMsg::decode(*frame);
-          HelloMsg ack;
-          ack.version = hello.version < kServeProtocolVersion
-                            ? hello.version
-                            : kServeProtocolVersion;
-          net::write_frame(fd, ack.to_frame(FrameType::HelloAck));
+          (void)HelloMsg::decode(*frame);
+          greeted = true;
+          net::write_frame(fd, HelloMsg{}.to_frame(FrameType::HelloAck));
           break;
         }
         case FrameType::HealthRequest: {
@@ -188,8 +187,14 @@ void Monitor::serve_connection(int fd) {
         }
       }
     }
-  } catch (const std::exception&) {
-    // Dead or misbehaving peer: drop the connection, keep serving others.
+  } catch (const std::exception& e) {
+    // Misbehaving peer: report why (best effort, the peer may be gone),
+    // drop the connection, keep serving others.
+    try {
+      net::write_frame(fd, ErrorReplyMsg{WireErrorCode::BadFrame, e.what()}
+                               .to_frame());
+    } catch (...) {
+    }
   }
   net::shutdown_socket(fd);
   net::close_socket(fd);

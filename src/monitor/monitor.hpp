@@ -3,10 +3,10 @@
 // (start()/stop(), the bbmg_monitor CLI) or by explicit tick() calls
 // (tests and bench_monitor, which want deterministic clocks).
 //
-// The monitor is itself a protocol-v5 wire peer: an optional listener
-// answers Hello, HealthRequest (the latest evaluated verdict),
-// MetricsRequest (the monitor's own registry — the watcher is watchable),
-// and politely errors everything else.  bbmg_client health / fleet tooling
+// The monitor is itself a wire peer: an optional listener answers Hello,
+// HealthRequest (the latest evaluated verdict), MetricsRequest (the
+// monitor's own registry — the watcher is watchable), and politely errors
+// everything else.  bbmg_client health / fleet tooling
 // talk to this port exactly like they talk to a serving daemon.
 #pragma once
 

@@ -4,7 +4,7 @@
 // PerfSpan behaves exactly like obs::Span — one clock pair, histogram
 // observe in microseconds, optional ring append — and additionally brackets
 // the stage with two PerfCounterGroup reads so the ring record (and thus
-// the Chrome-trace args and the v7 TraceDump wire format) carries
+// the Chrome-trace args and the TraceDump wire format) carries
 // cycles/instructions/cache-misses/branch-misses for the stage.
 //
 // Cost discipline: the counter reads are syscalls, so they are paid only

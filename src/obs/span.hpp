@@ -43,7 +43,7 @@ struct SpanRecord {
   std::uint8_t flow{0};
   /// Hardware-counter deltas over the span (obs/perf/perf_span.hpp); all
   /// zero for plain spans and when the PMU is unsupported.  Rendered as
-  /// Chrome-trace args and carried by the v7 TraceDump wire format.
+  /// Chrome-trace args and carried by the TraceDump wire format.
   std::uint64_t cycles{0};
   std::uint64_t instructions{0};
   std::uint64_t cache_misses{0};

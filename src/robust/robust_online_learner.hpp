@@ -108,7 +108,7 @@ class RobustOnlineLearner {
   /// size/bytes per period, branching/scan histograms per message, and the
   /// heap churn each observe charged.  Built on always-on atomics, so this
   /// is safe to call from any thread while the owning worker learns (the
-  /// v7 VspaceRequest handler does exactly that) and keeps working with
+  /// VspaceRequest handler does exactly that) and keeps working with
   /// BBMG_OBS=OFF.
   [[nodiscard]] VspaceSnapshot vspace_snapshot() const {
     return vspace_->snapshot();

@@ -17,7 +17,7 @@
 //       fetch a bbmg_monitor's SLO verdict (overall state, per-objective
 //       burn rates, per-endpoint freshness); exits 0/1/2 for ok/warn/page.
 //   bbmg_client vspace <host> <port> <session-id> [--json]
-//       live version-space introspection of a session (v7 servers):
+//       live version-space introspection of a session:
 //       hypothesis count and peak, estimated frontier bytes, heap churn
 //       charged to learning, and the branching-factor / scan-length
 //       histograms sampled inside the learner.
@@ -39,7 +39,7 @@
 // numbers, and connection failures retry with exponential backoff, resume
 // the session, and resend whatever the server had not yet made durable.
 // With `replay ... --trace <spans.bin>` every period send mints a trace
-// id, carries it to the server as a v3 envelope, and the client's own
+// id, carries it to the server as a TraceContext envelope, and the client's own
 // spans are saved to <spans.bin> — already shifted onto the server's
 // clock, so `trace --merge` needs no cross-file time math.
 #include <cstdio>
@@ -238,9 +238,6 @@ int cmd_replay(int argc, char** argv) {
       w.branch_misses = r.branch_misses;
       out.spans.push_back(std::move(w));
     }
-    // Span files are read back by this binary only, so always keep the
-    // hardware-counter trailer.
-    out.include_hw = true;
     save_spans_file(span_file, out);
     std::printf("saved %zu client spans -> %s (server-clock aligned)\n",
                 out.spans.size(), span_file.c_str());

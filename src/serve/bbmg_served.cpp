@@ -20,7 +20,7 @@
 // and snapshot every session, exit 0 — restart needs no WAL replay.
 //
 // Observability (PR 5): --trace enables the causal span ring, so traced
-// requests (v3 clients sending TraceContext envelopes) record their
+// requests (clients sending TraceContext envelopes) record their
 // server-side stage spans, fetchable live via `bbmg_client trace`;
 // --span-ring N sets the ring's capacity (default 4096 spans; evictions
 // count in bbmg_obs_span_drops_total).  The crash flight recorder is

@@ -6,6 +6,17 @@
 
 namespace bbmg {
 
+namespace {
+
+/// Append a TraceContext envelope frame when `ctx` is active.
+void append_ctx_frame(std::vector<std::uint8_t>& bytes,
+                      const obs::TraceContext& ctx) {
+  if (!ctx.active()) return;
+  append_frame(bytes, TraceContextMsg{ctx.trace_id, ctx.span_id}.to_frame());
+}
+
+}  // namespace
+
 ServeClient::~ServeClient() { disconnect(); }
 
 void ServeClient::connect(const std::string& host, std::uint16_t port) {
@@ -16,12 +27,7 @@ void ServeClient::connect(const std::string& host, std::uint16_t port) {
   }
   try {
     net::write_frame(fd_, HelloMsg{}.to_frame(FrameType::Hello));
-    const HelloMsg ack = HelloMsg::decode(expect_reply(FrameType::HelloAck));
-    // The server echoes the negotiated version; min() guards against a
-    // peer that echoes its own maximum instead.
-    peer_version_ = ack.version < kServeProtocolVersion
-                        ? ack.version
-                        : kServeProtocolVersion;
+    (void)HelloMsg::decode(expect_reply(FrameType::HelloAck));
   } catch (...) {
     disconnect();
     throw;
@@ -47,6 +53,10 @@ Frame ServeClient::expect_reply(FrameType expected) {
     if (err.code == WireErrorCode::Fenced) throw FencedError(err.message);
     throw ServerError(err.code, err.message);
   }
+  // Only OpenClusterSession is ever answered with a Redirect.
+  if (frame->type == FrameType::Redirect) {
+    throw Redirected(RedirectMsg::decode(*frame));
+  }
   if (frame->type != expected) {
     raise("client: unexpected reply frame type");
   }
@@ -70,16 +80,13 @@ void ServeClient::open_session_as(std::uint32_t session,
                                   std::uint32_t bound, SanitizePolicy policy,
                                   std::uint32_t snapshot_interval) {
   BBMG_REQUIRE(fd_ >= 0, "client not connected");
-  BBMG_REQUIRE(peer_version_ >= 4,
-               "open_session_as requires a v4 peer (server is v" +
-                   std::to_string(peer_version_) + ")");
   OpenSessionAsMsg msg;
   msg.session = session;
   msg.task_names = task_names;
   msg.bound = bound;
   msg.policy = policy;
   msg.snapshot_interval = snapshot_interval;
-  msg.epoch = stamped_epoch();
+  msg.epoch = write_epoch_;
   net::write_frame(fd_, msg.to_frame());
   const SessionRefMsg ref =
       SessionRefMsg::decode(expect_reply(FrameType::SessionOpened));
@@ -92,40 +99,19 @@ std::uint32_t ServeClient::open_cluster_session(
     std::uint32_t bound, SanitizePolicy policy,
     std::uint32_t snapshot_interval) {
   BBMG_REQUIRE(fd_ >= 0, "client not connected");
-  BBMG_REQUIRE(peer_version_ >= 4,
-               "open_cluster_session requires a v4 peer (server is v" +
-                   std::to_string(peer_version_) + ")");
   OpenClusterSessionMsg msg;
   msg.key = key;
   msg.task_names = task_names;
   msg.bound = bound;
   msg.policy = policy;
   msg.snapshot_interval = snapshot_interval;
-  msg.epoch = stamped_epoch();
+  msg.epoch = write_epoch_;
   net::write_frame(fd_, msg.to_frame());
-  std::optional<Frame> frame = net::read_frame(fd_, decoder_);
-  if (!frame.has_value()) {
-    raise("client: server closed the connection while awaiting a reply");
-  }
-  if (frame->type == FrameType::Redirect) {
-    throw Redirected(RedirectMsg::decode(*frame));
-  }
-  if (frame->type == FrameType::ErrorReply) {
-    const ErrorReplyMsg err = ErrorReplyMsg::decode(*frame);
-    if (err.code == WireErrorCode::Fenced) throw FencedError(err.message);
-    throw ServerError(err.code, err.message);
-  }
-  if (frame->type != FrameType::SessionOpened) {
-    raise("client: unexpected reply frame type");
-  }
-  return SessionRefMsg::decode(*frame).session;
+  return SessionRefMsg::decode(expect_reply(FrameType::SessionOpened)).session;
 }
 
 ClusterMapResponseMsg ServeClient::fetch_cluster_map() {
   BBMG_REQUIRE(fd_ >= 0, "client not connected");
-  BBMG_REQUIRE(peer_version_ >= 4,
-               "cluster map requires a v4 peer (server is v" +
-                   std::to_string(peer_version_) + ")");
   net::write_frame(fd_, ClusterMapRequestMsg{}.to_frame());
   return ClusterMapResponseMsg::decode(
       expect_reply(FrameType::ClusterMapResponse));
@@ -133,19 +119,10 @@ ClusterMapResponseMsg ServeClient::fetch_cluster_map() {
 
 MapUpdateAckMsg ServeClient::push_map_update(const ClusterMapResponseMsg& map) {
   BBMG_REQUIRE(fd_ >= 0, "client not connected");
-  BBMG_REQUIRE(peer_version_ >= 6,
-               "map update requires a v6 peer (server is v" +
-                   std::to_string(peer_version_) + ")");
   MapUpdateMsg msg;
   msg.map = map;
   net::write_frame(fd_, msg.to_frame());
   return MapUpdateAckMsg::decode(expect_reply(FrameType::MapUpdateAck));
-}
-
-void ServeClient::append_ctx_frame(std::vector<std::uint8_t>& bytes,
-                                   const obs::TraceContext& ctx) const {
-  if (!ctx.active() || peer_version_ < 3) return;
-  append_frame(bytes, TraceContextMsg{ctx.trace_id, ctx.span_id}.to_frame());
 }
 
 void ServeClient::send_period(std::uint32_t session,
@@ -161,7 +138,7 @@ void ServeClient::send_period(std::uint32_t session,
   std::vector<std::uint8_t> bytes;
   append_ctx_frame(bytes, ctx);
   append_frame(bytes, msg.to_frame());
-  append_frame(bytes, EndPeriodMsg{session, seq, stamped_epoch()}.to_frame());
+  append_frame(bytes, EndPeriodMsg{session, seq, write_epoch_}.to_frame());
   net::write_all(fd_, bytes.data(), bytes.size());
 }
 
@@ -220,9 +197,6 @@ obs::MetricsSnapshot ServeClient::fetch_metrics() {
 
 TraceDumpResponseMsg ServeClient::fetch_trace_dump(bool drain, bool flight) {
   BBMG_REQUIRE(fd_ >= 0, "client not connected");
-  BBMG_REQUIRE(peer_version_ >= 3,
-               "trace dump requires a v3 peer (server is v" +
-                   std::to_string(peer_version_) + ")");
   TraceDumpRequestMsg req;
   req.drain = drain;
   req.flight = flight;
@@ -233,18 +207,12 @@ TraceDumpResponseMsg ServeClient::fetch_trace_dump(bool drain, bool flight) {
 
 HealthResponseMsg ServeClient::fetch_health() {
   BBMG_REQUIRE(fd_ >= 0, "client not connected");
-  BBMG_REQUIRE(peer_version_ >= 5,
-               "health requires a v5 peer (server is v" +
-                   std::to_string(peer_version_) + ")");
   net::write_frame(fd_, HealthRequestMsg{}.to_frame());
   return HealthResponseMsg::decode(expect_reply(FrameType::HealthResponse));
 }
 
 VspaceResponseMsg ServeClient::fetch_vspace(std::uint32_t session) {
   BBMG_REQUIRE(fd_ >= 0, "client not connected");
-  BBMG_REQUIRE(peer_version_ >= 7,
-               "vspace requires a v7 peer (server is v" +
-                   std::to_string(peer_version_) + ")");
   VspaceRequestMsg req;
   req.session = session;
   net::write_frame(fd_, req.to_frame());

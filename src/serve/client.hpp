@@ -49,7 +49,7 @@ class ServerError : public Error {
   WireErrorCode code_;
 };
 
-/// Typed ErrorReply(Fenced) from the server (v6): the epoch this client
+/// Typed ErrorReply(Fenced) from the server: the epoch this client
 /// stamped on a write is below the node's fence floor — its regime was
 /// deposed by an automated failover.  NOT retried by ResilientClient (the
 /// same endpoint would fence it again); the cluster client reacts by
@@ -102,38 +102,37 @@ class ServeClient {
       SanitizePolicy policy = SanitizePolicy::Repair,
       std::uint32_t snapshot_interval = 1);
 
-  /// Open a session under an explicit id (v4 peers only) — the WAL
-  /// replication path: a primary mirrors its session onto the follower
-  /// under the id the clients already hold.  Idempotent server-side.
+  /// Open a session under an explicit id — the WAL replication path: a
+  /// primary mirrors its session onto the follower under the id the
+  /// clients already hold.  Idempotent server-side.
   void open_session_as(std::uint32_t session,
                        const std::vector<std::string>& task_names,
                        std::uint32_t bound = 16,
                        SanitizePolicy policy = SanitizePolicy::Repair,
                        std::uint32_t snapshot_interval = 1);
 
-  /// Open a session routed by a consistent-hash key (v4 peers only).
-  /// Returns the new session id when this shard owns the key; throws
-  /// Redirected naming the owner otherwise.
+  /// Open a session routed by a consistent-hash key.  Returns the new
+  /// session id when this shard owns the key; throws Redirected naming the
+  /// owner otherwise.
   [[nodiscard]] std::uint32_t open_cluster_session(
       const std::string& key, const std::vector<std::string>& task_names,
       std::uint32_t bound = 16, SanitizePolicy policy = SanitizePolicy::Repair,
       std::uint32_t snapshot_interval = 1);
 
-  /// Fetch the server's cluster map (v4 peers only; errors when the server
-  /// is not in cluster mode).
+  /// Fetch the server's cluster map (errors when the server is not in
+  /// cluster mode).
   [[nodiscard]] ClusterMapResponseMsg fetch_cluster_map();
 
-  /// Push a new cluster map into a live daemon (v6 peers only) — the
-  /// controller's failover propagation path.  Returns the daemon's ack:
-  /// accepted=1 when the map was installed (strictly higher epoch).
+  /// Push a new cluster map into a live daemon — the controller's failover
+  /// propagation path.  Returns the daemon's ack: accepted=1 when the map
+  /// was installed (strictly higher epoch).
   [[nodiscard]] MapUpdateAckMsg push_map_update(
       const ClusterMapResponseMsg& map);
 
   /// Stamp every subsequent session-mutating request (EndPeriod,
   /// OpenSessionAs, OpenClusterSession) with this cluster-map epoch so
   /// fenced daemons can reject writes from a deposed regime.  0 (the
-  /// default) sends unfenced legacy writes.  Only stamped on negotiated
-  /// v6+ connections — older servers reject unknown trailing fields.
+  /// default) sends unfenced writes.
   void set_write_epoch(std::uint64_t epoch) { write_epoch_ = epoch; }
   [[nodiscard]] std::uint64_t write_epoch() const { return write_epoch_; }
 
@@ -141,8 +140,8 @@ class ServeClient {
   /// when non-zero, is the idempotence sequence number for the period
   /// (must be 1, 2, 3, ... per session); the server drops duplicates at or
   /// below its high-water mark, making resends after a reconnect safe.
-  /// An active `ctx` rides ahead of the period as a TraceContext envelope
-  /// (v3 peers only), so the server continues the trace as child spans.
+  /// An active `ctx` rides ahead of the period as a TraceContext envelope,
+  /// so the server continues the trace as child spans.
   void send_period(std::uint32_t session, const std::vector<Event>& events,
                    std::uint64_t seq = 0,
                    const obs::TraceContext& ctx = {});
@@ -169,43 +168,31 @@ class ServeClient {
   /// was built with BBMG_OBS=OFF).
   [[nodiscard]] obs::MetricsSnapshot fetch_metrics();
 
-  /// Pull the server's span ring over the wire (v3 peers only; throws on
-  /// a v2 peer).  drain=false copies non-destructively; flight=true also
-  /// carries the server's flight-recorder dump text.
+  /// Pull the server's span ring over the wire.  drain=false copies
+  /// non-destructively; flight=true also carries the server's
+  /// flight-recorder dump text.
   [[nodiscard]] TraceDumpResponseMsg fetch_trace_dump(bool drain = true,
                                                       bool flight = false);
 
-  /// Fetch the peer's SLO/health verdict (v5 peers only).  Answered
-  /// authoritatively by bbmg_monitor; a plain bbmg_served replies with a
-  /// ServerError pointing at the monitor.
+  /// Fetch the peer's SLO/health verdict.  Answered authoritatively by
+  /// bbmg_monitor; a plain bbmg_served replies with a ServerError pointing
+  /// at the monitor.
   [[nodiscard]] HealthResponseMsg fetch_health();
 
-  /// Fetch one session's live version-space introspection (v7 peers
-  /// only): hypothesis count/peak, frontier bytes, learning heap churn,
-  /// and the branching/scan-length histograms.
+  /// Fetch one session's live version-space introspection: hypothesis
+  /// count/peak, frontier bytes, learning heap churn, and the
+  /// branching/scan-length histograms.
   [[nodiscard]] VspaceResponseMsg fetch_vspace(std::uint32_t session);
 
-  /// The protocol version negotiated at connect time (min of both sides);
-  /// 0 before the first connect.
-  [[nodiscard]] std::uint16_t peer_version() const { return peer_version_; }
-
  private:
+  /// Read the next frame and return it when it has the expected type.
+  /// ErrorReply throws ServerError (FencedError for Fenced), Redirect
+  /// throws Redirected, and anything else is a protocol error.
   [[nodiscard]] Frame expect_reply(FrameType expected);
-  /// Append a TraceContext envelope frame when `ctx` is active and the
-  /// peer negotiated v3+.
-  void append_ctx_frame(std::vector<std::uint8_t>& bytes,
-                        const obs::TraceContext& ctx) const;
-
-  /// write_epoch_ when the peer negotiated v6+, else 0 (old servers treat
-  /// the trailing epoch field as garbage).
-  [[nodiscard]] std::uint64_t stamped_epoch() const {
-    return peer_version_ >= 6 ? write_epoch_ : 0;
-  }
 
   int fd_{-1};
   FrameDecoder decoder_;
   std::uint32_t request_timeout_ms_{0};
-  std::uint16_t peer_version_{0};
   std::uint64_t write_epoch_{0};
 };
 

@@ -46,7 +46,7 @@ class ClusterHooks {
   [[nodiscard]] virtual std::uint64_t bounded_high_water(
       std::uint32_t session, std::uint64_t local_high_water) = 0;
 
-  /// This node's current cluster-map epoch (v6 control plane).
+  /// This node's current cluster-map epoch (control plane).
   [[nodiscard]] virtual std::uint64_t epoch() const = 0;
 
   /// Epoch fence for session-mutating requests: true admits the write,

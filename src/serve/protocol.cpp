@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "obs/log.hpp"
 
 namespace bbmg {
 
@@ -33,6 +32,14 @@ void append_frame(std::vector<std::uint8_t>& out, const Frame& frame) {
   out.insert(out.end(), frame.payload.begin(), frame.payload.end());
 }
 
+void require_hello_first(bool greeted, FrameType type) {
+  if (greeted || type == FrameType::Hello) return;
+  std::ostringstream os;
+  os << "protocol: frame type " << int{static_cast<std::uint8_t>(type)}
+     << " before hello";
+  raise(os.str());
+}
+
 void FrameDecoder::feed(const std::uint8_t* data, std::size_t size) {
   // Compact lazily: drop consumed prefix once it dominates the buffer.
   if (consumed_ > 4096 && consumed_ * 2 > buffer_.size()) {
@@ -49,43 +56,29 @@ void FrameDecoder::set_max_payload(std::size_t cap) {
 }
 
 std::optional<Frame> FrameDecoder::next() {
-  for (;;) {
-    const std::size_t avail = buffer_.size() - consumed_;
-    if (avail < 5) return std::nullopt;
-    ByteReader r(buffer_.data() + consumed_, avail);
-    const std::uint32_t length = r.read_u32();
-    if (length > max_payload_) {
-      throw FrameTooLarge(length, max_payload_);
-    }
-    const std::uint8_t type = r.read_u8();
-    if (type < static_cast<std::uint8_t>(FrameType::Hello)) {
-      // Only corruption produces type 0 — no protocol version ever
-      // assigned it, so there is nothing to skip past.
-      std::ostringstream os;
-      os << "protocol: invalid frame type " << int{type};
-      raise(os.str());
-    }
-    if (avail < 5 + static_cast<std::size_t>(length)) return std::nullopt;
-    if (type > kMaxFrameType) {
-      // A newer peer's extension frame: consume it whole and keep parsing.
-      // Length was validated against the payload cap above, so a skipped
-      // frame is bounded like any other.
-      consumed_ += 5 + length;
-      ++skipped_;
-      BBMG_LOG_WARN("protocol.frame_skipped",
-                    "skipped unknown frame type from a newer peer",
-                    {{"type", std::uint32_t{type}},
-                     {"length", length},
-                     {"skipped_total", skipped_}});
-      continue;
-    }
-    Frame frame;
-    frame.type = static_cast<FrameType>(type);
-    const std::uint8_t* body = buffer_.data() + consumed_ + 5;
-    frame.payload.assign(body, body + length);
-    consumed_ += 5 + length;
-    return frame;
+  const std::size_t avail = buffer_.size() - consumed_;
+  if (avail < 5) return std::nullopt;
+  ByteReader r(buffer_.data() + consumed_, avail);
+  const std::uint32_t length = r.read_u32();
+  if (length > max_payload_) {
+    throw FrameTooLarge(length, max_payload_);
   }
+  const std::uint8_t type = r.read_u8();
+  if (type < static_cast<std::uint8_t>(FrameType::Hello) ||
+      type > kMaxFrameType) {
+    // Both peers speak the same frame set, so only corruption produces a
+    // type outside it.
+    std::ostringstream os;
+    os << "protocol: invalid frame type " << int{type};
+    raise(os.str());
+  }
+  if (avail < 5 + static_cast<std::size_t>(length)) return std::nullopt;
+  Frame frame;
+  frame.type = static_cast<FrameType>(type);
+  const std::uint8_t* body = buffer_.data() + consumed_ + 5;
+  frame.payload.assign(body, body + length);
+  consumed_ += 5 + length;
+  return frame;
 }
 
 // -- Hello -----------------------------------------------------------------
@@ -107,11 +100,10 @@ HelloMsg HelloMsg::decode(const Frame& frame) {
   if (m.magic != kServeMagic) {
     raise("protocol: bad magic in hello (peer is not a bbmg client)");
   }
-  if (m.version < kServeMinProtocolVersion ||
-      m.version > kServeProtocolVersion) {
+  if (m.version != kServeProtocolVersion) {
     std::ostringstream os;
     os << "protocol: unsupported version " << m.version << " (speaking "
-       << kServeMinProtocolVersion << ".." << kServeProtocolVersion << ")";
+       << kServeProtocolVersion << ")";
     raise(os.str());
   }
   return m;
@@ -119,38 +111,63 @@ HelloMsg HelloMsg::decode(const Frame& frame) {
 
 // -- OpenSession -----------------------------------------------------------
 
-Frame OpenSessionMsg::to_frame() const {
-  Frame f;
-  f.type = FrameType::OpenSession;
-  append_task_names(f.payload, task_names);
-  append_u32(f.payload, bound);
-  append_u8(f.payload, static_cast<std::uint8_t>(policy));
-  append_u32(f.payload, snapshot_interval);
+namespace {
+
+/// The OpenSession field group shared by the three open-session variants;
+/// kept one codec so the wire layout can never drift between them.
+void append_open_fields(std::vector<std::uint8_t>& out,
+                        const std::vector<std::string>& task_names,
+                        std::uint32_t bound, SanitizePolicy policy,
+                        std::uint32_t snapshot_interval) {
+  append_task_names(out, task_names);
+  append_u32(out, bound);
+  append_u8(out, static_cast<std::uint8_t>(policy));
+  append_u32(out, snapshot_interval);
+}
+
+OpenSessionMsg read_open_fields(ByteReader& r, const char* what) {
+  OpenSessionMsg f;
+  f.task_names = read_task_names(r);
+  f.bound = r.read_u32();
+  const std::uint8_t policy = r.read_u8();
+  if (policy > static_cast<std::uint8_t>(SanitizePolicy::Quarantine)) {
+    raise(std::string("protocol: invalid sanitize policy in ") + what);
+  }
+  f.policy = static_cast<SanitizePolicy>(policy);
+  f.snapshot_interval = r.read_u32();
+  if (f.bound == 0) {
+    raise(std::string("protocol: ") + what + " bound must be >= 1");
+  }
   return f;
 }
 
-OpenSessionMsg OpenSessionMsg::decode(const Frame& frame) {
-  ByteReader r = payload_reader(frame);
-  OpenSessionMsg m;
-  m.task_names = read_task_names(r);
-  m.bound = r.read_u32();
-  const std::uint8_t policy = r.read_u8();
-  if (policy > static_cast<std::uint8_t>(SanitizePolicy::Quarantine)) {
-    raise("protocol: invalid sanitize policy in open-session");
-  }
-  m.policy = static_cast<SanitizePolicy>(policy);
-  m.snapshot_interval = r.read_u32();
-  finish(frame, r, "open-session");
-  if (m.bound == 0) raise("protocol: open-session bound must be >= 1");
-  return m;
-}
-
-SessionConfig OpenSessionMsg::to_session_config() const {
+SessionConfig open_fields_config(std::uint32_t bound, SanitizePolicy policy,
+                                 std::uint32_t snapshot_interval) {
   SessionConfig cfg;
   cfg.robust.online.bound = bound;
   cfg.robust.sanitize.policy = policy;
   cfg.snapshot_interval = snapshot_interval;
   return cfg;
+}
+
+}  // namespace
+
+Frame OpenSessionMsg::to_frame() const {
+  Frame f;
+  f.type = FrameType::OpenSession;
+  append_open_fields(f.payload, task_names, bound, policy, snapshot_interval);
+  return f;
+}
+
+OpenSessionMsg OpenSessionMsg::decode(const Frame& frame) {
+  ByteReader r = payload_reader(frame);
+  OpenSessionMsg m = read_open_fields(r, "open-session");
+  finish(frame, r, "open-session");
+  return m;
+}
+
+SessionConfig OpenSessionMsg::to_session_config() const {
+  return open_fields_config(bound, policy, snapshot_interval);
 }
 
 // -- SessionRef ------------------------------------------------------------
@@ -177,10 +194,7 @@ Frame EndPeriodMsg::to_frame() const {
   f.type = FrameType::EndPeriod;
   append_u32(f.payload, session);
   append_u64(f.payload, seq);
-  // v6 optional trailing field: omitted when 0 so the encoding of an
-  // unfenced write is byte-identical to v2-v5 (old servers reject frames
-  // with trailing bytes).
-  if (epoch != 0) append_u64(f.payload, epoch);
+  if (epoch != 0) append_u64(f.payload, epoch);  // optional trailer
   return f;
 }
 
@@ -276,7 +290,7 @@ QueryMsg QueryMsg::decode(const Frame& frame) {
   return m;
 }
 
-// -- causal tracing (v3) ---------------------------------------------------
+// -- causal tracing --------------------------------------------------------
 
 Frame TraceContextMsg::to_frame() const {
   Frame f;
@@ -346,18 +360,13 @@ Frame TraceDumpResponseMsg::to_frame() const {
   for (std::size_t i = 0; i < nchunks; ++i) {
     append_string(f.payload, flight.substr(i * kMaxNameLength, kMaxNameLength));
   }
-  // v7 optional trailer: per-span hardware counters.  Appended only when
-  // the server negotiated v7 (include_hw), so frames sent to v3-v6 peers
-  // stay byte-identical to the old encoding — those decoders reject
-  // trailing bytes.
-  if (include_hw) {
-    append_u8(f.payload, 1);  // trailer format marker
-    for (const WireSpan& s : spans) {
-      append_u64(f.payload, s.cycles);
-      append_u64(f.payload, s.instructions);
-      append_u64(f.payload, s.cache_misses);
-      append_u64(f.payload, s.branch_misses);
-    }
+  // Per-span hardware counters ride as a trailer after the flight text.
+  append_u8(f.payload, 1);  // trailer format marker
+  for (const WireSpan& s : spans) {
+    append_u64(f.payload, s.cycles);
+    append_u64(f.payload, s.instructions);
+    append_u64(f.payload, s.cache_misses);
+    append_u64(f.payload, s.branch_misses);
   }
   return f;
 }
@@ -390,78 +399,27 @@ TraceDumpResponseMsg TraceDumpResponseMsg::decode(const Frame& frame) {
     raise("protocol: flight chunk count exceeds sanity cap");
   }
   for (std::uint32_t i = 0; i < nchunks; ++i) m.flight += r.read_string();
-  if (!r.done()) {
-    const std::uint8_t marker = r.read_u8();
-    if (marker != 1) {
-      raise("protocol: unknown trace-dump trailer marker");
-    }
-    for (WireSpan& s : m.spans) {
-      s.cycles = r.read_u64();
-      s.instructions = r.read_u64();
-      s.cache_misses = r.read_u64();
-      s.branch_misses = r.read_u64();
-    }
+  if (r.read_u8() != 1) {
+    raise("protocol: unknown trace-dump trailer marker");
+  }
+  for (WireSpan& s : m.spans) {
+    s.cycles = r.read_u64();
+    s.instructions = r.read_u64();
+    s.cache_misses = r.read_u64();
+    s.branch_misses = r.read_u64();
   }
   finish(frame, r, "trace-dump-response");
   return m;
 }
 
-// -- cluster serving (v4) --------------------------------------------------
-
-namespace {
-
-/// The OpenSession field group shared by the three open-session variants;
-/// kept one codec so the wire layout can never drift between them.
-void append_open_fields(std::vector<std::uint8_t>& out,
-                        const std::vector<std::string>& task_names,
-                        std::uint32_t bound, SanitizePolicy policy,
-                        std::uint32_t snapshot_interval) {
-  append_task_names(out, task_names);
-  append_u32(out, bound);
-  append_u8(out, static_cast<std::uint8_t>(policy));
-  append_u32(out, snapshot_interval);
-}
-
-struct OpenFields {
-  std::vector<std::string> task_names;
-  std::uint32_t bound{16};
-  SanitizePolicy policy{SanitizePolicy::Repair};
-  std::uint32_t snapshot_interval{1};
-};
-
-OpenFields read_open_fields(ByteReader& r, const char* what) {
-  OpenFields f;
-  f.task_names = read_task_names(r);
-  f.bound = r.read_u32();
-  const std::uint8_t policy = r.read_u8();
-  if (policy > static_cast<std::uint8_t>(SanitizePolicy::Quarantine)) {
-    raise(std::string("protocol: invalid sanitize policy in ") + what);
-  }
-  f.policy = static_cast<SanitizePolicy>(policy);
-  f.snapshot_interval = r.read_u32();
-  if (f.bound == 0) {
-    raise(std::string("protocol: ") + what + " bound must be >= 1");
-  }
-  return f;
-}
-
-SessionConfig open_fields_config(std::uint32_t bound, SanitizePolicy policy,
-                                 std::uint32_t snapshot_interval) {
-  SessionConfig cfg;
-  cfg.robust.online.bound = bound;
-  cfg.robust.sanitize.policy = policy;
-  cfg.snapshot_interval = snapshot_interval;
-  return cfg;
-}
-
-}  // namespace
+// -- cluster serving -------------------------------------------------------
 
 Frame OpenSessionAsMsg::to_frame() const {
   Frame f;
   f.type = FrameType::OpenSessionAs;
   append_u32(f.payload, session);
   append_open_fields(f.payload, task_names, bound, policy, snapshot_interval);
-  if (epoch != 0) append_u64(f.payload, epoch);  // v6 optional trailer
+  if (epoch != 0) append_u64(f.payload, epoch);  // optional trailer
   return f;
 }
 
@@ -469,7 +427,7 @@ OpenSessionAsMsg OpenSessionAsMsg::decode(const Frame& frame) {
   ByteReader r = payload_reader(frame);
   OpenSessionAsMsg m;
   m.session = r.read_u32();
-  OpenFields f = read_open_fields(r, "open-session-as");
+  OpenSessionMsg f = read_open_fields(r, "open-session-as");
   m.task_names = std::move(f.task_names);
   m.bound = f.bound;
   m.policy = f.policy;
@@ -552,7 +510,7 @@ Frame OpenClusterSessionMsg::to_frame() const {
   f.type = FrameType::OpenClusterSession;
   append_string(f.payload, key);
   append_open_fields(f.payload, task_names, bound, policy, snapshot_interval);
-  if (epoch != 0) append_u64(f.payload, epoch);  // v6 optional trailer
+  if (epoch != 0) append_u64(f.payload, epoch);  // optional trailer
   return f;
 }
 
@@ -561,7 +519,7 @@ OpenClusterSessionMsg OpenClusterSessionMsg::decode(const Frame& frame) {
   OpenClusterSessionMsg m;
   m.key = r.read_string();
   if (m.key.empty()) raise("protocol: open-cluster-session key is empty");
-  OpenFields f = read_open_fields(r, "open-cluster-session");
+  OpenSessionMsg f = read_open_fields(r, "open-cluster-session");
   m.task_names = std::move(f.task_names);
   m.bound = f.bound;
   m.policy = f.policy;
@@ -575,7 +533,7 @@ SessionConfig OpenClusterSessionMsg::to_session_config() const {
   return open_fields_config(bound, policy, snapshot_interval);
 }
 
-// -- control plane (v6) ----------------------------------------------------
+// -- control plane ---------------------------------------------------------
 
 Frame MapUpdateMsg::to_frame() const {
   // Reuse the ClusterMapResponse body so the two map encodings can never
@@ -808,7 +766,7 @@ MetricsResponseMsg MetricsResponseMsg::decode(const Frame& frame) {
   return m;
 }
 
-// -- telemetry plane (v5) --------------------------------------------------
+// -- telemetry plane -------------------------------------------------------
 
 Frame HealthRequestMsg::to_frame() const {
   Frame f;
@@ -896,7 +854,7 @@ HealthResponseMsg HealthResponseMsg::decode(const Frame& frame) {
   return m;
 }
 
-// -- version-space introspection (v7) --------------------------------------
+// -- version-space introspection -------------------------------------------
 
 Frame VspaceRequestMsg::to_frame() const {
   Frame f;

@@ -10,102 +10,65 @@
 // truncated or malformed payloads — a garbage frame can kill its own
 // connection, never the server.
 //
-// Conversation (client-driven, one reply per request except Events and
-// EndPeriod, which are fire-and-forget so period streaming is not
-// round-trip bound):
+// Both peers are built from this tree, so there is exactly one protocol
+// version: Hello carries kServeProtocolVersion and any other version is
+// rejected, as is every frame sent before Hello and every frame type above
+// kMaxFrameType (only corruption produces one).
 //
-//   Hello            -> HelloAck
-//   OpenSession      -> SessionOpened | ErrorReply
-//   Events           (accumulates the current period, no reply)
-//   EndPeriod        (submits the period, no reply; lossless — the server
-//                     blocks on its shard queue, so TCP itself carries the
-//                     backpressure to the producer)
-//   Query            -> ModelReply | ErrorReply  (optionally drains first,
-//                     optionally carries a probe period to check)
-//   CloseSession     -> SessionClosed | ErrorReply
-//   MetricsRequest   -> MetricsResponse  (process-wide observability
-//                     snapshot: every registered counter/gauge/histogram)
-//   Resume           -> ResumeAck | ErrorReply  (v2: reports the server's
-//                     durable high-water mark for the session so a
-//                     reconnecting client knows which periods to resend)
+// Conversation (client-driven, one reply per request except Events,
+// EndPeriod and TraceContext, which are fire-and-forget so period
+// streaming is not round-trip bound):
 //
-// Version 2 additions (crash-safe serving): EndPeriod carries a client
-// sequence number (0 = unsequenced, v1 behaviour) so the server can drop
-// duplicates after a reconnect, and Resume/ResumeAck expose the durable
-// high-water mark.
-//
-// Version 3 additions (causal tracing): Hello/HelloAck negotiate the
-// version (the server accepts any version in [kServeMinProtocolVersion,
-// kServeProtocolVersion] and echoes the minimum of the two sides, so v2
-// clients keep working unchanged); TraceContext is an optional envelope
-// frame that attaches a {trace id, parent span id} pair to the *next*
-// request frame on the connection, letting the server continue the
-// client's trace as child spans without changing any existing payload
-// schema; TraceDumpRequest/TraceDumpResponse pull the server's span ring
-// (and optionally its flight-recorder dump) over the wire for merged
-// client+server Chrome traces.
-//
-// Version 4 additions (cluster serving, src/cluster):
-//
-//   ClusterMapRequest  -> ClusterMapResponse  (the shard's view of the
-//                     static cluster map: epoch + per-shard primary and
-//                     follower endpoints, so clients can route and fail
-//                     over without out-of-band configuration)
+//   Hello              -> HelloAck
+//   OpenSession        -> SessionOpened | ErrorReply
+//   Events             (accumulates the current period, no reply)
+//   EndPeriod          (submits the period, no reply; lossless — the server
+//                       blocks on its shard queue, so TCP itself carries the
+//                       backpressure to the producer.  Carries a client
+//                       sequence number so the server drops duplicates
+//                       after a reconnect)
+//   Query              -> ModelReply | ErrorReply  (optionally drains
+//                       first, optionally carries a probe period to check)
+//   CloseSession       -> SessionClosed | ErrorReply
+//   MetricsRequest     -> MetricsResponse  (process-wide observability
+//                       snapshot: every registered counter/gauge/histogram)
+//   Resume             -> ResumeAck | ErrorReply  (the server's durable
+//                       high-water mark for the session, so a reconnecting
+//                       client knows which periods to resend)
+//   TraceContext       (envelope: attaches a {trace id, parent span id}
+//                       pair to the *next* request frame, so the server
+//                       continues the client's trace as child spans)
+//   TraceDumpRequest   -> TraceDumpResponse  (the server's span ring with
+//                       per-span hardware counters, and optionally its
+//                       flight-recorder dump, for merged Chrome traces)
+//   ClusterMapRequest  -> ClusterMapResponse | ErrorReply  (the shard's
+//                       view of the cluster map: epoch + per-shard primary
+//                       and follower endpoints)
 //   OpenClusterSession -> SessionOpened | Redirect | ErrorReply  (open a
-//                     session routed by a client-chosen key; a shard that
-//                     does not own the key answers Redirect with the
-//                     owner's endpoint instead of opening locally)
-//   OpenSessionAs      -> SessionOpened | ErrorReply  (open a session
-//                     with an explicit id — the WAL-replication path: a
-//                     primary mirrors its session onto its follower under
-//                     the same id, so clients reattach after failover by
-//                     the id they already hold.  Idempotent when the id
-//                     already exists with the same task universe.)
+//                       session routed by a client-chosen key; a shard that
+//                       does not own the key answers Redirect with the
+//                       owner's endpoint instead of opening locally)
+//   OpenSessionAs      -> SessionOpened | ErrorReply  (open a session with
+//                       an explicit id — the WAL-replication path: a
+//                       primary mirrors its session onto its follower under
+//                       the same id.  Idempotent when the id already exists
+//                       with the same task universe)
+//   HealthRequest      -> HealthResponse | ErrorReply  (the SLO engine's
+//                       verdict, answered by bbmg_monitor; a plain
+//                       bbmg_served answers ErrorReply(Internal) pointing at
+//                       the monitor)
+//   MapUpdate          -> MapUpdateAck | ErrorReply  (the controller pushes
+//                       a new epoch-stamped cluster map; the daemon installs
+//                       it only when the epoch is strictly higher)
+//   VspaceRequest      -> VspaceResponse | ErrorReply  (live version-space
+//                       introspection for one session — `bbmg_client
+//                       vspace`)
 //
-// Version 5 additions (telemetry plane, src/monitor):
-//
-//   HealthRequest    -> HealthResponse | ErrorReply  (the SLO engine's
-//                     current verdict: overall alert state, per-objective
-//                     burn rates, per-endpoint scrape freshness.  Answered
-//                     authoritatively by bbmg_monitor; a plain bbmg_served
-//                     answers ErrorReply(Internal) pointing at the
-//                     monitor, so probing either daemon type is safe)
-//
-// Version 6 additions (self-healing control plane, src/control):
-//
-//   MapUpdate        -> MapUpdateAck  (the controller pushes a new
-//                     epoch-stamped cluster map into a live daemon after an
-//                     automated failover; the daemon installs it only when
-//                     the epoch is strictly higher and re-derives its
-//                     role — promoted follower starts shipping, deposed
-//                     primary is fenced)
-//
-//   Epoch fencing: EndPeriod, OpenSessionAs and OpenClusterSession carry
-//   the writer's map epoch (0 = unfenced legacy writer).  A daemon whose
-//   fence floor has advanced past the stamped epoch rejects the write
-//   with ErrorReply(Fenced) — the split-brain guard that stops a
-//   resurrected stale primary from accepting writes its successor already
-//   owns.  The epoch rides as an optional trailing field: v2-v5 encoders
-//   omit it and decode as epoch 0, so old peers keep working unchanged.
-//
-// Version 7 additions (performance observability, src/obs/perf):
-//
-//   VspaceRequest    -> VspaceResponse | ErrorReply  (live version-space
-//                     introspection for one session: hypothesis count and
-//                     peak, estimated frontier bytes, heap churn, and the
-//                     branching-factor / candidate-scan-length histograms
-//                     sampled inside the learner — `bbmg_client vspace`)
-//
-//   TraceDumpResponse grows an optional trailing hardware-counter block
-//   (cycles/instructions/cache-misses/branch-misses per span).  v7
-//   encoders append it only for v7 peers; v3-v6 frames round-trip
-//   unchanged and decode with all-zero counters.
-//
-// Unknown frame types above kMaxFrameType are *skipped* by the decoder
-// (counted, logged, connection survives): a v4 server behind a v3-era
-// proxy, or a newer client probing optional frames, must degrade to
-// ignored extensions rather than killed connections.  Type 0 remains a
-// framing error — it can only come from stream corruption.
+// Epoch fencing: EndPeriod, OpenSessionAs and OpenClusterSession carry the
+// writer's map epoch as a trailing field, omitted when the epoch is 0 (an
+// unfenced writer).  A daemon whose fence floor has advanced past the
+// stamped epoch rejects the write with ErrorReply(Fenced), so a resurrected
+// stale primary cannot accept writes its successor already owns.
 #pragma once
 
 #include <cstdint>
@@ -123,11 +86,8 @@
 namespace bbmg {
 
 inline constexpr std::uint32_t kServeMagic = 0x474d4242u;  // "BBMG"
+/// The only version spoken; a Hello carrying any other is rejected.
 inline constexpr std::uint16_t kServeProtocolVersion = 7;
-/// Oldest peer version still spoken; Hello/HelloAck outside
-/// [kServeMinProtocolVersion, kServeProtocolVersion] are rejected, inside
-/// the range both sides run at min(client, server).
-inline constexpr std::uint16_t kServeMinProtocolVersion = 2;
 /// Frames larger than this are rejected before allocation (garbage guard).
 /// This is the hard upper bound; FrameDecoder::set_max_payload can lower
 /// it per decoder (e.g. a memory-constrained ingest front-end).
@@ -168,25 +128,24 @@ enum class FrameType : std::uint8_t {
   MetricsResponse = 13,
   Resume = 14,
   ResumeAck = 15,
-  TraceContext = 16,       // v3: envelope for the next request frame
-  TraceDumpRequest = 17,   // v3
-  TraceDumpResponse = 18,  // v3
-  OpenSessionAs = 19,       // v4: open with an explicit session id
-  ClusterMapRequest = 20,   // v4
-  ClusterMapResponse = 21,  // v4
-  Redirect = 22,            // v4: the addressed shard does not own the key
-  OpenClusterSession = 23,  // v4: open routed by a consistent-hash key
-  HealthRequest = 24,       // v5: telemetry plane (src/monitor)
-  HealthResponse = 25,      // v5
-  MapUpdate = 26,           // v6: controller pushes a new cluster map
-  MapUpdateAck = 27,        // v6
-  VspaceRequest = 28,       // v7: live version-space introspection
-  VspaceResponse = 29,      // v7
+  TraceContext = 16,
+  TraceDumpRequest = 17,
+  TraceDumpResponse = 18,
+  OpenSessionAs = 19,
+  ClusterMapRequest = 20,
+  ClusterMapResponse = 21,
+  Redirect = 22,
+  OpenClusterSession = 23,
+  HealthRequest = 24,
+  HealthResponse = 25,
+  MapUpdate = 26,
+  MapUpdateAck = 27,
+  VspaceRequest = 28,
+  VspaceResponse = 29,
 };
 
-/// Highest FrameType value this build understands; the decoder *skips*
-/// types beyond this (a newer peer's optional extension, see the v4 notes
-/// above) and only rejects type 0 as stream corruption.
+/// Highest FrameType value; the decoder rejects type 0 and every type
+/// above this as stream corruption.
 inline constexpr std::uint8_t kMaxFrameType =
     static_cast<std::uint8_t>(FrameType::VspaceResponse);
 
@@ -198,12 +157,14 @@ struct Frame {
 /// Append the framed encoding (length, type, payload) to a byte buffer.
 void append_frame(std::vector<std::uint8_t>& out, const Frame& frame);
 
+/// The connection gate every daemon applies: throws bbmg::Error for any
+/// frame but Hello on a connection that has not been greeted yet.
+void require_hello_first(bool greeted, FrameType type);
+
 /// Incremental frame parser for a byte stream: feed() arbitrary chunks,
 /// next() yields complete frames in order.  Throws FrameTooLarge on an
-/// oversized length field and bbmg::Error on frame type 0 (corruption).
-/// Frame types above kMaxFrameType — extensions from a newer protocol
-/// version — are consumed whole and skipped with a diagnostic, so mixed-
-/// version clusters degrade to ignored frames, not dead connections.
+/// oversized length field and bbmg::Error on a frame type outside
+/// [1, kMaxFrameType], both as soon as the 5-byte header has arrived.
 class FrameDecoder {
  public:
   void feed(const std::uint8_t* data, std::size_t size);
@@ -216,15 +177,10 @@ class FrameDecoder {
   void set_max_payload(std::size_t cap);
   [[nodiscard]] std::size_t max_payload() const { return max_payload_; }
 
-  /// Unknown-type frames skipped so far (diagnostic for operators and the
-  /// mixed-version tests).
-  [[nodiscard]] std::uint64_t skipped() const { return skipped_; }
-
  private:
   std::vector<std::uint8_t> buffer_;
   std::size_t consumed_{0};
   std::size_t max_payload_{kMaxFramePayload};
-  std::uint64_t skipped_{0};
 };
 
 // -- payload schemas -------------------------------------------------------
@@ -260,9 +216,8 @@ struct EndPeriodMsg {
   /// per session; the server drops any seq at or below its high-water
   /// mark as an already-applied duplicate.
   std::uint64_t seq{0};
-  /// v6: the writer's cluster-map epoch, 0 = unfenced legacy writer.
-  /// Encoded only when nonzero (trailing optional field), decoded as 0
-  /// when absent, so v2-v5 frames round-trip unchanged.
+  /// The writer's cluster-map epoch, 0 = unfenced writer.  Encoded only
+  /// when nonzero (trailing optional field), decoded as 0 when absent.
   std::uint64_t epoch{0};
   [[nodiscard]] Frame to_frame() const;
   [[nodiscard]] static EndPeriodMsg decode(const Frame& frame);
@@ -316,7 +271,7 @@ enum class WireErrorCode : std::uint16_t {
   UnknownSession = 2,
   Overflow = 3,
   Internal = 4,
-  /// v6: the write carried a cluster-map epoch below the daemon's fence
+  /// The write carried a cluster-map epoch below the daemon's fence
   /// floor — the writer's regime has been deposed; refetch the map.
   Fenced = 5,
 };
@@ -347,7 +302,7 @@ struct MetricsResponseMsg {
   [[nodiscard]] static MetricsResponseMsg decode(const Frame& frame);
 };
 
-// -- causal tracing (v3) ---------------------------------------------------
+// -- causal tracing --------------------------------------------------------
 
 /// Sanity cap on spans in one TraceDumpResponse (a span ring is bounded;
 /// a frame claiming more is garbage).
@@ -357,8 +312,8 @@ inline constexpr std::size_t kMaxWireSpans = 1u << 20;
 inline constexpr std::size_t kMaxWireFlightChunks = 1u << 14;
 
 /// Envelope: attaches the client's trace id and calling span id to the
-/// next request frame on this connection.  Sent only on negotiated v3
-/// connections; an envelope with no following request is simply dropped.
+/// next request frame on this connection; an envelope with no following
+/// request is simply dropped.
 struct TraceContextMsg {
   std::uint64_t trace_id{0};
   std::uint64_t span_id{0};
@@ -385,8 +340,8 @@ struct WireSpan {
   std::uint64_t span_id{0};
   std::uint64_t parent_id{0};
   std::uint8_t flow{0};
-  /// v7: hardware counters sampled over the span (zero when the span was
-  /// recorded without a PerfCounterGroup or the peer predates v7).
+  /// Hardware counters sampled over the span (zero when the span was
+  /// recorded without a PerfCounterGroup).
   std::uint64_t cycles{0};
   std::uint64_t instructions{0};
   std::uint64_t cache_misses{0};
@@ -403,15 +358,11 @@ struct TraceDumpResponseMsg {
   std::vector<WireSpan> spans;
   /// Flight-recorder dump text (empty unless requested).
   std::string flight;
-  /// Encode-side only: append the v7 hardware-counter trailing block.  The
-  /// server sets this from the negotiated version (>= 7); it never rides
-  /// the wire itself and decode() leaves it at the default.
-  bool include_hw{false};
   [[nodiscard]] Frame to_frame() const;
   [[nodiscard]] static TraceDumpResponseMsg decode(const Frame& frame);
 };
 
-// -- cluster serving (v4) --------------------------------------------------
+// -- cluster serving -------------------------------------------------------
 
 /// Sanity cap on shards in one ClusterMapResponse (a map is operator
 /// configuration; a frame claiming more is garbage).
@@ -429,7 +380,7 @@ struct OpenSessionAsMsg {
   std::uint32_t bound{16};
   SanitizePolicy policy{SanitizePolicy::Repair};
   std::uint32_t snapshot_interval{1};
-  /// v6 optional trailing field, see EndPeriodMsg::epoch.
+  /// Optional trailing field, see EndPeriodMsg::epoch.
   std::uint64_t epoch{0};
   [[nodiscard]] Frame to_frame() const;
   [[nodiscard]] static OpenSessionAsMsg decode(const Frame& frame);
@@ -476,14 +427,14 @@ struct OpenClusterSessionMsg {
   std::uint32_t bound{16};
   SanitizePolicy policy{SanitizePolicy::Repair};
   std::uint32_t snapshot_interval{1};
-  /// v6 optional trailing field, see EndPeriodMsg::epoch.
+  /// Optional trailing field, see EndPeriodMsg::epoch.
   std::uint64_t epoch{0};
   [[nodiscard]] Frame to_frame() const;
   [[nodiscard]] static OpenClusterSessionMsg decode(const Frame& frame);
   [[nodiscard]] SessionConfig to_session_config() const;
 };
 
-// -- control plane (v6) ----------------------------------------------------
+// -- control plane ---------------------------------------------------------
 
 /// The controller pushes a new cluster map into a live daemon.  Payload is
 /// a ClusterMapResponseMsg body (epoch + shards); the daemon installs it
@@ -505,7 +456,7 @@ struct MapUpdateAckMsg {
   [[nodiscard]] static MapUpdateAckMsg decode(const Frame& frame);
 };
 
-// -- telemetry plane (v5) --------------------------------------------------
+// -- telemetry plane -------------------------------------------------------
 
 /// Sanity caps for health payloads (objectives and endpoints are operator
 /// configuration; a frame claiming more is garbage).
@@ -562,7 +513,7 @@ struct HealthResponseMsg {
   [[nodiscard]] static HealthResponseMsg decode(const Frame& frame);
 };
 
-// -- version-space introspection (v7) --------------------------------------
+// -- version-space introspection -------------------------------------------
 
 struct VspaceRequestMsg {
   std::uint32_t session{0};

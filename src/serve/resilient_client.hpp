@@ -134,7 +134,7 @@ class ResilientClient {
   /// Fetch the server's cluster map (retried).
   [[nodiscard]] ClusterMapResponseMsg fetch_cluster_map();
 
-  /// Push a new cluster map into the peer (retried; v6).  A FencedError
+  /// Push a new cluster map into the peer (retried).  A FencedError
   /// never comes back from this path — map pushes carry no epoch stamp.
   [[nodiscard]] MapUpdateAckMsg push_map_update(
       const ClusterMapResponseMsg& map);
@@ -172,7 +172,7 @@ class ResilientClient {
 
   /// Causal tracing: when on, every send_period/query mints a trace id,
   /// records a client root span (flow Out) into the process span ring, and
-  /// carries the context to the server as a v3 envelope so server stages
+  /// carries the context to the server as a TraceContext envelope so server stages
   /// join the same trace.  Enables the span ring as a side effect.
   void set_tracing(bool on);
   [[nodiscard]] bool tracing() const { return tracing_; }

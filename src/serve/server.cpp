@@ -118,8 +118,7 @@ void Server::serve_connection(int fd) {
   // stops (bounding memory) and the next EndPeriod is refused.
   std::unordered_set<std::uint32_t> oversized;
   bool greeted = false;
-  std::uint16_t version = kServeMinProtocolVersion;
-  // Causal tracing (v3).  env_ctx is the client's envelope for the request
+  // Causal tracing.  env_ctx is the client's envelope for the request
   // in flight; server_root is the id of this request's first server-side
   // span (server.decode), the parent of every later stage; flow_pending
   // marks that the cross-process flow arrow has not bound yet.
@@ -149,18 +148,12 @@ void Server::serve_connection(int fd) {
   };
   try {
     while (auto frame = net::read_frame(fd, decoder)) {
+      require_hello_first(greeted, frame->type);
       switch (frame->type) {
         case FrameType::Hello: {
-          const HelloMsg hello = HelloMsg::decode(*frame);
+          (void)HelloMsg::decode(*frame);
           greeted = true;
-          // Speak the lower of the two versions; decode() already rejected
-          // anything outside [kServeMinProtocolVersion, current].
-          version = hello.version < kServeProtocolVersion
-                        ? hello.version
-                        : kServeProtocolVersion;
-          HelloMsg ack;
-          ack.version = version;
-          net::write_frame(fd, ack.to_frame(FrameType::HelloAck));
+          net::write_frame(fd, HelloMsg{}.to_frame(FrameType::HelloAck));
           break;
         }
         case FrameType::TraceContext: {
@@ -174,9 +167,6 @@ void Server::serve_connection(int fd) {
           const TraceDumpRequestMsg msg = TraceDumpRequestMsg::decode(*frame);
           obs::SpanRing& ring = obs::SpanRing::instance();
           TraceDumpResponseMsg reply;
-          // Hardware counters ride as a v7 trailing block; older peers get
-          // the byte-identical v3 encoding.
-          reply.include_hw = version >= 7;
           reply.drops = ring.dropped();
           const std::vector<obs::SpanRecord> spans =
               msg.drain ? ring.drain() : ring.records();
@@ -208,7 +198,6 @@ void Server::serve_connection(int fd) {
           break;
         }
         case FrameType::OpenSession: {
-          if (!greeted) raise("protocol: open-session before hello");
           const OpenSessionMsg msg = OpenSessionMsg::decode(*frame);
           const SessionId id = manager_.open_session(
               msg.task_names, msg.to_session_config());
@@ -354,7 +343,6 @@ void Server::serve_connection(int fd) {
           break;
         }
         case FrameType::OpenSessionAs: {
-          if (!greeted) raise("protocol: open-session-as before hello");
           const OpenSessionAsMsg msg = OpenSessionAsMsg::decode(*frame);
           if (cluster_ && !cluster_->admit_write(msg.epoch)) {
             ErrorReplyMsg err{
@@ -377,7 +365,6 @@ void Server::serve_connection(int fd) {
           break;
         }
         case FrameType::OpenClusterSession: {
-          if (!greeted) raise("protocol: open-cluster-session before hello");
           const OpenClusterSessionMsg msg =
               OpenClusterSessionMsg::decode(*frame);
           if (!cluster_) {

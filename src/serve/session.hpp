@@ -122,7 +122,7 @@ class LearningSession {
     return stream_stats_.summary();
   }
 
-  /// Live version-space introspection (v7 VspaceRequest).  Readable from
+  /// Live version-space introspection (VspaceRequest).  Readable from
   /// any thread while the worker learns: the stats block is stable-address
   /// lock-free atomics (see RobustOnlineLearner::vspace_snapshot).
   [[nodiscard]] VspaceSnapshot vspace() const {

@@ -152,7 +152,7 @@ class SessionManager {
                                   const std::vector<Event>* probe = nullptr) const;
 
   [[nodiscard]] SessionStats stats(SessionId id) const;
-  /// Live version-space snapshot of one session (v7 VspaceRequest);
+  /// Live version-space snapshot of one session (VspaceRequest);
   /// nullopt for unknown/null ids.  Never stalls the worker.
   [[nodiscard]] std::optional<VspaceSnapshot> vspace(SessionId id) const;
   [[nodiscard]] std::size_t num_sessions() const;

@@ -6,8 +6,10 @@
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "monitor/aggregate.hpp"
@@ -16,6 +18,7 @@
 #include "obs/metrics.hpp"
 #include "serve/chaos_proxy.hpp"
 #include "serve/client.hpp"
+#include "serve/net.hpp"
 #include "serve/server.hpp"
 
 namespace bbmg::monitor {
@@ -150,6 +153,51 @@ TEST(Monitor, ServesHealthAndItsOwnMetricsOverTheWire) {
     EXPECT_TRUE(found);
   }
   client.disconnect();
+  mon.stop();
+}
+
+// First reply to `bytes` sent on a fresh connection, and whether the
+// monitor then closed the connection.
+std::pair<std::optional<Frame>, bool> raw_exchange(
+    std::uint16_t port, const std::vector<std::uint8_t>& bytes) {
+  const int fd = net::connect_tcp("127.0.0.1", port);
+  net::set_socket_timeout(fd, 2000);
+  FrameDecoder decoder;
+  std::optional<Frame> reply;
+  bool closed = false;
+  try {
+    net::write_all(fd, bytes.data(), bytes.size());
+    reply = net::read_frame(fd, decoder);
+    closed = reply.has_value() && !net::read_frame(fd, decoder);
+  } catch (const Error&) {
+  }
+  net::close_socket(fd);
+  return {reply, closed};
+}
+
+TEST(Monitor, RejectsOtherVersionsAndFramesBeforeHello) {
+  MonitorConfig config;
+  config.listen = true;
+  config.interval_ms = 20;
+  Monitor mon(config);
+  mon.start();
+  ASSERT_GT(mon.port(), 0);
+
+  std::vector<std::vector<std::uint8_t>> attempts;
+  for (const std::uint16_t version : {0, 2, 6, 8, 0xffff}) {
+    HelloMsg hello;
+    hello.version = version;
+    append_frame(attempts.emplace_back(), hello.to_frame(FrameType::Hello));
+  }
+  append_frame(attempts.emplace_back(), HealthRequestMsg{}.to_frame());
+  for (std::size_t i = 0; i < attempts.size(); ++i) {
+    const auto [reply, closed] = raw_exchange(mon.port(), attempts[i]);
+    ASSERT_TRUE(reply.has_value()) << "attempt " << i;
+    ASSERT_EQ(reply->type, FrameType::ErrorReply) << "attempt " << i;
+    EXPECT_EQ(ErrorReplyMsg::decode(*reply).code, WireErrorCode::BadFrame)
+        << "attempt " << i;
+    EXPECT_TRUE(closed) << "attempt " << i;
+  }
   mon.stop();
 }
 

@@ -1,6 +1,6 @@
-// Version-space introspection: histogram bucket math, the v7 wire codecs
+// Version-space introspection: histogram bucket math, the wire codecs
 // (VspaceRequest/Response round-trip, truncation rejection, the TraceDump
-// hardware trailer and its v6 backward compatibility), and the end-to-end
+// hardware trailer that every dump carries), and the end-to-end
 // path — a live server learning a trace answers fetch_vspace with the
 // numbers the learner accumulated.
 #include <gtest/gtest.h>
@@ -150,7 +150,6 @@ TEST(TraceDumpWire, HwTrailerRoundTrip) {
   msg.spans = {sample_span(), sample_span()};
   msg.spans[1].name = "serve.query";
   msg.spans[1].cycles = 5;
-  msg.include_hw = true;
 
   const TraceDumpResponseMsg back = TraceDumpResponseMsg::decode(msg.to_frame());
   ASSERT_EQ(back.spans.size(), 2u);
@@ -162,36 +161,22 @@ TEST(TraceDumpWire, HwTrailerRoundTrip) {
   EXPECT_EQ(back.spans[1].name, "serve.query");
 }
 
-TEST(TraceDumpWire, LegacyFrameWithoutTrailerDecodesZeroHw) {
-  // A v6 server (or a v7 one answering a v6 client) sends no trailer; the
-  // decoder must accept the frame and leave the hw fields zero.
-  TraceDumpResponseMsg msg;
-  msg.spans = {sample_span()};
-  msg.include_hw = false;
-
-  const Frame f = msg.to_frame();
-  const TraceDumpResponseMsg back = TraceDumpResponseMsg::decode(f);
-  ASSERT_EQ(back.spans.size(), 1u);
-  EXPECT_EQ(back.spans[0].duration_ns, 900u);
-  EXPECT_EQ(back.spans[0].cycles, 0u);
-  EXPECT_EQ(back.spans[0].branch_misses, 0u);
-
-  // And the encoded bytes really carry no trailer: the hw variant is
-  // strictly longer.
-  TraceDumpResponseMsg hw = msg;
-  hw.include_hw = true;
-  EXPECT_GT(hw.to_frame().payload.size(), f.payload.size());
-}
-
 TEST(TraceDumpWire, UnknownTrailerMarkerRaises) {
   TraceDumpResponseMsg msg;
   msg.spans = {sample_span()};
-  const std::size_t base_size = msg.to_frame().payload.size();
-  msg.include_hw = true;
   Frame f = msg.to_frame();
-  ASSERT_GT(f.payload.size(), base_size);
-  ASSERT_EQ(f.payload[base_size], 1u);  // the marker byte
-  f.payload[base_size] = 2;             // a future format we don't speak
+  // The trailer is the marker byte plus four u64 counters per span.
+  const std::size_t marker_at = f.payload.size() - 1 - 4 * 8;
+  ASSERT_EQ(f.payload[marker_at], 1u);
+  f.payload[marker_at] = 2;  // a trailer format this build does not speak
+  EXPECT_THROW((void)TraceDumpResponseMsg::decode(f), Error);
+}
+
+TEST(TraceDumpWire, FrameWithoutTrailerRaises) {
+  TraceDumpResponseMsg msg;
+  msg.spans = {sample_span()};
+  Frame f = msg.to_frame();
+  f.payload.resize(f.payload.size() - 1 - 4 * 8);
   EXPECT_THROW((void)TraceDumpResponseMsg::decode(f), Error);
 }
 

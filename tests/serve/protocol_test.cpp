@@ -129,8 +129,7 @@ TEST(Protocol, DecoderHoldsPartialFrameUntilComplete) {
 }
 
 TEST(Protocol, DecoderRejectsFrameTypeZero) {
-  // Type 0 was never assigned by any protocol version; only corruption
-  // produces it, so (unlike high unknown types) it is not skippable.
+  // Type 0 was never assigned; only corruption produces it.
   std::vector<std::uint8_t> bytes;
   append_u32(bytes, 0);
   append_u8(bytes, 0);
@@ -139,51 +138,46 @@ TEST(Protocol, DecoderRejectsFrameTypeZero) {
   EXPECT_THROW((void)decoder.next(), Error);
 }
 
-TEST(Protocol, DecoderSkipsUnknownFrameTypesMidStream) {
-  // A newer peer's extension frame sits between two known ones: the
-  // decoder consumes it whole (its declared length is still bounded by
-  // the payload cap), counts it, and keeps parsing the stream.
-  std::vector<std::uint8_t> bytes;
-  append_frame(bytes, HelloMsg{}.to_frame(FrameType::Hello));
-  append_u32(bytes, 3);
-  append_u8(bytes, 0x7f);  // far beyond kMaxFrameType
-  bytes.push_back(0xde);
-  bytes.push_back(0xad);
-  bytes.push_back(0x01);
-  append_frame(bytes, SessionRefMsg{7}.to_frame(FrameType::Resume));
-
-  FrameDecoder decoder;
-  decoder.feed(bytes.data(), bytes.size());
-  const std::optional<Frame> first = decoder.next();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->type, FrameType::Hello);
-  const std::optional<Frame> second = decoder.next();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->type, FrameType::Resume);
-  EXPECT_EQ(decoder.skipped(), 1u);
-  EXPECT_FALSE(decoder.next().has_value());
+TEST(Protocol, DecoderAcceptsExactlyTheKnownFrameTypes) {
+  // Both peers speak one frame set, so any other type byte is corruption
+  // and is rejected as soon as the 5-byte header has arrived.
+  for (int type = 0; type <= 255; ++type) {
+    std::vector<std::uint8_t> bytes;
+    append_u32(bytes, 2);
+    append_u8(bytes, static_cast<std::uint8_t>(type));
+    const bool known = type >= 1 && type <= kMaxFrameType;
+    FrameDecoder header_only;
+    header_only.feed(bytes.data(), bytes.size());
+    bytes.push_back(0xab);
+    bytes.push_back(0xcd);
+    FrameDecoder whole;
+    whole.feed(bytes.data(), bytes.size());
+    if (known) {
+      EXPECT_FALSE(header_only.next().has_value()) << "type " << type;
+      const std::optional<Frame> frame = whole.next();
+      ASSERT_TRUE(frame.has_value()) << "type " << type;
+      EXPECT_EQ(static_cast<int>(frame->type), type);
+      EXPECT_EQ(frame->payload, (std::vector<std::uint8_t>{0xab, 0xcd}));
+    } else {
+      EXPECT_THROW((void)header_only.next(), Error) << "type " << type;
+      EXPECT_THROW((void)whole.next(), Error) << "type " << type;
+    }
+  }
 }
 
-TEST(Protocol, DecoderSkipsUnknownFrameSplitAcrossFeeds) {
-  // The skip also works when the unknown frame arrives fragmented: the
-  // decoder must wait for the whole declared length before skipping.
-  std::vector<std::uint8_t> unknown;
-  append_u32(unknown, 4);
-  append_u8(unknown, 0x40);
-  for (std::uint8_t b : {1, 2, 3, 4}) unknown.push_back(b);
-  std::vector<std::uint8_t> tail;
-  append_frame(tail, SessionRefMsg{9}.to_frame(FrameType::Resume));
-
-  FrameDecoder decoder;
-  decoder.feed(unknown.data(), 6);  // header + 1 of 4 payload bytes
-  EXPECT_FALSE(decoder.next().has_value());
-  EXPECT_EQ(decoder.skipped(), 0u);
-  decoder.feed(unknown.data() + 6, unknown.size() - 6);
-  decoder.feed(tail.data(), tail.size());
-  const std::optional<Frame> frame = decoder.next();
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->type, FrameType::Resume);
-  EXPECT_EQ(decoder.skipped(), 1u);
+TEST(Protocol, HelloRejectsEveryOtherVersion) {
+  for (const std::uint16_t version : {0, 2, 6, 8, 0xffff}) {
+    HelloMsg hello;
+    hello.version = version;
+    try {
+      (void)HelloMsg::decode(hello.to_frame(FrameType::Hello));
+      ADD_FAILURE() << "version " << version << " accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "protocol: unsupported version " + std::to_string(version) +
+                    " (speaking 7)");
+    }
+  }
 }
 
 TEST(Protocol, DecoderRejectsOversizedLength) {
@@ -329,9 +323,8 @@ TEST(Protocol, EndPeriodEpochIsAnOptionalTrailingField) {
   EXPECT_EQ(back.seq, 11u);
   EXPECT_EQ(back.epoch, 3u);
 
-  // Unstamped (epoch 0) encodes WITHOUT the trailing field — the exact
-  // bytes a v2-v5 writer produces — and decodes back to 0: old frames
-  // keep working against fenced servers.
+  // Unstamped (epoch 0) encodes WITHOUT the trailing field and decodes
+  // back to 0.
   EndPeriodMsg legacy;
   legacy.session = 4;
   legacy.seq = 11;

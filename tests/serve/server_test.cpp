@@ -2,7 +2,9 @@
 // errors from hostile peers, and multi-connection isolation.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/heuristic_learner.hpp"
@@ -197,6 +199,79 @@ TEST(ServerEndToEnd, MetricsRoundTripOverTheWire) {
   }
 
   client.close_session(session);
+  server.stop();
+}
+
+// One raw exchange with a daemon: send `bytes` on a fresh connection and
+// return the first reply plus whether the daemon then closed the
+// connection.  A daemon that never answers yields no reply (2 s deadline)
+// instead of hanging the test.
+struct RawExchange {
+  std::optional<Frame> reply;
+  bool closed{false};
+};
+
+RawExchange raw_exchange(std::uint16_t port,
+                         const std::vector<std::uint8_t>& bytes) {
+  RawExchange out;
+  const int fd = net::connect_tcp("127.0.0.1", port);
+  net::set_socket_timeout(fd, 2000);
+  FrameDecoder decoder;
+  try {
+    net::write_all(fd, bytes.data(), bytes.size());
+    out.reply = net::read_frame(fd, decoder);
+    out.closed = out.reply.has_value() && !net::read_frame(fd, decoder);
+  } catch (const Error&) {
+  }
+  net::close_socket(fd);
+  return out;
+}
+
+bool is_bad_frame(const RawExchange& ex) {
+  return ex.reply.has_value() && ex.reply->type == FrameType::ErrorReply &&
+         ErrorReplyMsg::decode(*ex.reply).code == WireErrorCode::BadFrame;
+}
+
+TEST(ServerProtocol, HelloWithAnyOtherVersionIsRejected) {
+  Server server;
+  server.start();
+  for (const std::uint16_t version : {0, 2, 6, 8, 0xffff}) {
+    HelloMsg hello;
+    hello.version = version;
+    std::vector<std::uint8_t> bytes;
+    append_frame(bytes, hello.to_frame(FrameType::Hello));
+    const RawExchange ex = raw_exchange(server.port(), bytes);
+    EXPECT_TRUE(is_bad_frame(ex)) << "version " << version;
+    EXPECT_TRUE(ex.closed) << "version " << version;
+  }
+  server.stop();
+}
+
+TEST(ServerProtocol, FramesBeforeHelloAreRejected) {
+  Server server;
+  server.start();
+  const Trace trace = gm_trace(3, 2);
+  ServeClient client;
+  client.connect("127.0.0.1", server.port());
+  const std::uint32_t session = client.open_session(trace.task_names());
+
+  // A Query for a live session, without Hello first.
+  std::vector<std::uint8_t> query;
+  append_frame(query, QueryMsg{session, false, std::nullopt}.to_frame());
+  const RawExchange q = raw_exchange(server.port(), query);
+  EXPECT_TRUE(is_bad_frame(q));
+  EXPECT_TRUE(q.closed);
+
+  // A whole period streamed into the live session, without Hello first.
+  std::vector<std::uint8_t> period;
+  append_frame(period,
+               EventsMsg{session, trace.periods()[0].to_events()}.to_frame());
+  append_frame(period, EndPeriodMsg{session, 0, 0}.to_frame());
+  const RawExchange p = raw_exchange(server.port(), period);
+  EXPECT_TRUE(is_bad_frame(p));
+  EXPECT_TRUE(p.closed);
+
+  EXPECT_EQ(client.query(session, /*drain=*/true).periods_seen, 0u);
   server.stop();
 }
 

@@ -1,6 +1,6 @@
-// End-to-end causal tracing (PR 5): the v3 trace envelope on the wire,
-// v2 backward compatibility, parent/child id integrity across concurrent
-// traced sessions, and the merged Chrome export with matching flow ids.
+// End-to-end causal tracing: the trace envelope on the wire, parent/child
+// id integrity across concurrent traced sessions, and the merged Chrome
+// export with matching flow ids.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,7 +14,6 @@
 #include "obs/span.hpp"
 #include "obs/trace_context.hpp"
 #include "obs/trace_export.hpp"
-#include "serve/net.hpp"
 #include "serve/resilient_client.hpp"
 #include "serve/server.hpp"
 #include "sim/simulator.hpp"
@@ -83,26 +82,6 @@ TEST(TraceWire, TraceDumpResponseRoundTripsSpansAndFlight) {
   EXPECT_EQ(back.spans[0].parent_id, 0xc3u);
   EXPECT_EQ(back.spans[0].flow, static_cast<std::uint8_t>(obs::FlowDir::In));
   EXPECT_EQ(back.flight, msg.flight);
-}
-
-// A v2 client (one that has never heard of trace envelopes) must still be
-// served: the server accepts the older Hello and echoes the negotiated
-// version 2 back.
-TEST(TraceWire, V2HelloAgainstV3ServerNegotiatesDown) {
-  Server server;
-  server.start();
-  const int fd = net::connect_tcp("127.0.0.1", server.port());
-  ASSERT_GE(fd, 0);
-  HelloMsg hello;
-  hello.version = 2;
-  net::write_frame(fd, hello.to_frame(FrameType::Hello));
-  FrameDecoder decoder;
-  const auto ack = net::read_frame(fd, decoder);
-  ASSERT_TRUE(ack.has_value());
-  EXPECT_EQ(ack->type, FrameType::HelloAck);
-  EXPECT_EQ(HelloMsg::decode(*ack).version, 2u);
-  net::close_socket(fd);
-  server.stop();
 }
 
 Trace gm_trace(std::uint64_t seed, std::size_t periods) {
