@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "core/learner_metrics.hpp"
+#include "core/matrix_cells.hpp"
 #include "core/post_process.hpp"
 #include "core/vspace_stats.hpp"
 #include "obs/span.hpp"
@@ -13,15 +14,16 @@ namespace bbmg {
 
 namespace {
 
-struct Scored {
-  Hypothesis h;
-  std::uint64_t weight;
-};
-
 /// The bounded, weight-ascending hypothesis list of §3.2: adding a
 /// hypothesis beyond the bound merges the two least-weight (most specific)
 /// members into their least upper bound, with the union of their
 /// assumption sets (see DESIGN.md §2 for this choice).
+///
+/// One list serves a whole period, and children are built in recycled
+/// storage.  Retired frontier members, dropped duplicates and merged-away
+/// hypotheses are kept as spares (at most bound + 1), and a child is
+/// copy-assigned into a spare, which reuses its matrix and bitset
+/// capacity: once the spares are warm, a child allocates nothing.
 class BoundedList {
  public:
   BoundedList(std::size_t bound, LearnStats& stats)
@@ -29,54 +31,75 @@ class BoundedList {
 
   [[nodiscard]] bool empty() const { return items_.empty(); }
 
-  void add(Hypothesis h) {
+  /// A copy of `parent` in spare storage, to assume() on and then add.
+  Hypothesis& child_of(const Hypothesis& parent) {
+    if (spares_.empty()) {
+      spares_.push_back(parent);
+    } else {
+      spares_.back() = parent;
+    }
+    return spares_.back();
+  }
+
+  /// Adds the child last returned by child_of.
+  void add_child() {
+    Hypothesis h = std::move(spares_.back());
+    spares_.pop_back();
     insert(std::move(h));
     while (items_.size() > bound_) merge_two_least();
   }
 
-  std::vector<Hypothesis> take() {
-    std::vector<Hypothesis> out;
-    out.reserve(items_.size());
-    for (auto& s : items_) out.push_back(std::move(s.h));
+  /// Makes the list the new frontier; the old frontier's members become
+  /// spares and the list is left empty for the next message.
+  void take_into(std::vector<Hypothesis>& frontier) {
+    frontier.swap(items_);
+    for (Hypothesis& h : items_) recycle(std::move(h));
     items_.clear();
-    return out;
   }
 
  private:
   /// Set semantics: duplicates would burn bound slots for nothing (the
   /// exact learner unifies eagerly too).  The duplicate scan is linear and
-  /// compares hypotheses only on a weight tie.  Gating it on a cached
-  /// Hypothesis::hash() merges identically, but trades one regime for the
-  /// other (GM trace, 4-core Xeon, GCC 12): bound 16 learned 2.4x faster
-  /// (236-277 -> 98-123 ms per trace), bound 1 55% slower (1.66-1.75 ->
-  /// 2.61-2.74 ms), since every child then pays an O(n^2) hash that a
-  /// one-element list never needs.  A hash kept up to date in O(1) inside
-  /// Hypothesis removes the trade-off (ROADMAP).
+  /// compares hypotheses only on a weight tie.  Gating it on a hash merges
+  /// identically and made offline bound-64 learning 11-15x faster, but the
+  /// offline benchmark keeps every trace it learns (~26 KB each), so the
+  /// faster learner fit 35-45 traces in its 20 s window instead of 4 and
+  /// its peak RSS rose 18-25%, past the 10% bound (4-core Xeon, GCC 12).
+  /// The scan stays until that benchmark stops tying peak RSS to learner
+  /// speed (ROADMAP).
   void insert(Hypothesis h) {
     const std::uint64_t weight = h.d.weight();
-    for (const Scored& x : items_) {
-      if (x.weight == weight && x.h == h) return;
+    for (const Hypothesis& x : items_) {
+      if (x.d.weight() == weight && x == h) {
+        recycle(std::move(h));
+        return;
+      }
     }
     auto it = std::upper_bound(
         items_.begin(), items_.end(), weight,
-        [](std::uint64_t w, const Scored& x) { return w < x.weight; });
-    items_.insert(it, Scored{std::move(h), weight});
+        [](std::uint64_t w, const Hypothesis& x) { return w < x.d.weight(); });
+    items_.insert(it, std::move(h));
   }
 
   void merge_two_least() {
     BBMG_ASSERT(items_.size() >= 2, "merge requires two hypotheses");
-    Scored a = std::move(items_[0]);
-    Scored b = std::move(items_[1]);
+    Hypothesis merged = std::move(items_[0]);
+    merged.d.join(items_[1].d);
+    merged.used.unite(items_[1].used);
+    recycle(std::move(items_[1]));
     items_.erase(items_.begin(), items_.begin() + 2);
-    Hypothesis merged(a.h.d.lub(b.h.d), std::move(a.h.used));
-    merged.used.unite(b.h.used);
     ++stats_.merges;
     insert(std::move(merged));
   }
 
+  void recycle(Hypothesis&& h) {
+    if (spares_.size() <= bound_) spares_.push_back(std::move(h));
+  }
+
   std::size_t bound_;
   LearnStats& stats_;
-  std::vector<Scored> items_;
+  std::vector<Hypothesis> items_;
+  std::vector<Hypothesis> spares_;
 };
 
 }  // namespace
@@ -108,6 +131,7 @@ OnlineLearner::OnlineLearner(std::size_t num_tasks, const OnlineConfig& config)
   const PeriodCandidates pc(period, num_tasks_);
   profiled.lap(LearnerPhase::Enumerate);
 
+  BoundedList list(config_.bound, stats_);
   for (std::size_t msg = 0; msg < pc.num_messages(); ++msg) {
     ++stats_.messages_processed;
     const auto& cands = pc.candidates(msg);
@@ -119,14 +143,12 @@ OnlineLearner::OnlineLearner(std::size_t num_tasks, const OnlineConfig& config)
           static_cast<std::uint64_t>(frontier_.size()) * cands.size());
     }
 
-    BoundedList list(config_.bound, stats_);
     for (const Hypothesis& h : frontier_) {
       for (const CandidatePair& p : cands) {
         if (h.pair_used(p)) continue;
-        Hypothesis child = h;
-        child.assume(p, history_);
+        list.child_of(h).assume(p, history_);
         ++stats_.hypotheses_created;
-        list.add(std::move(child));
+        list.add_child();
       }
     }
 
@@ -137,7 +159,7 @@ OnlineLearner::OnlineLearner(std::size_t num_tasks, const OnlineConfig& config)
       // member remains an upper bound of a matching hypothesis.
       ++stats_.unexplained_messages;
     } else {
-      frontier_ = list.take();
+      list.take_into(frontier_);
     }
     stats_.peak_hypotheses = std::max(stats_.peak_hypotheses, frontier_.size());
   }
@@ -205,35 +227,6 @@ std::uint64_t OnlineLearner::approx_frontier_bytes() const {
 
 namespace {
 
-void encode_matrix_cells(std::vector<std::uint8_t>& out,
-                         const DependencyMatrix& m) {
-  for (std::size_t a = 0; a < m.num_tasks(); ++a) {
-    for (std::size_t b = 0; b < m.num_tasks(); ++b) {
-      append_u8(out, static_cast<std::uint8_t>(m.at(a, b)));
-    }
-  }
-}
-
-DependencyMatrix decode_matrix_cells(ByteReader& r, std::size_t n) {
-  DependencyMatrix m(n);
-  for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = 0; b < n; ++b) {
-      const std::uint8_t v = r.read_u8();
-      if (v >= kNumDepValues) {
-        raise("learner state: invalid dependency value");
-      }
-      if (a == b) {
-        if (v != static_cast<std::uint8_t>(DepValue::Parallel)) {
-          raise("learner state: matrix diagonal must be parallel");
-        }
-        continue;
-      }
-      m.set(a, b, static_cast<DepValue>(v));
-    }
-  }
-  return m;
-}
-
 /// Hypothesis-set cap for decode: far above any reachable bound, low
 /// enough that a garbage count cannot drive a huge allocation.
 constexpr std::size_t kMaxStateFrontier = 1u << 20;
@@ -248,7 +241,7 @@ void OnlineLearner::encode_state(std::vector<std::uint8_t>& out) const {
   }
   append_u32(out, static_cast<std::uint32_t>(frontier_.size()));
   for (const Hypothesis& h : frontier_) {
-    encode_matrix_cells(out, h.d);
+    append_matrix_cells(out, h.d);
     append_u32(out, static_cast<std::uint32_t>(h.used.size()));
     append_u32(out, static_cast<std::uint32_t>(h.used.words().size()));
     for (const std::uint64_t w : h.used.words()) append_u64(out, w);
@@ -292,7 +285,7 @@ OnlineLearner OnlineLearner::decode_state(ByteReader& r) {
   const std::size_t bits_expected = static_cast<std::size_t>(n) * n;
   const std::size_t words_expected = (bits_expected + 63) / 64;
   for (std::uint32_t i = 0; i < nfrontier; ++i) {
-    DependencyMatrix d = decode_matrix_cells(r, n);
+    DependencyMatrix d = read_matrix_cells(r, n, "learner state: ");
     const std::uint32_t bits = r.read_u32();
     const std::uint32_t nwords = r.read_u32();
     if (bits != bits_expected || nwords != words_expected) {

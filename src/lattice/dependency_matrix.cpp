@@ -4,6 +4,28 @@
 
 namespace bbmg {
 
+namespace {
+
+unsigned distance(DepValue v) {
+  return kDepDistanceTable[static_cast<std::size_t>(v)];
+}
+
+/// out[i] = dep_lub(a[i], b[i]) for i < size (out may alias a); returns the
+/// weight of out.
+std::uint64_t join_cells(const DepValue* a, const DepValue* b, DepValue* out,
+                         std::size_t size) {
+  std::uint64_t w = 0;
+  for (std::size_t i = 0; i < size; ++i) {
+    const DepValue v = kDepLubTable[static_cast<std::size_t>(a[i]) * 8 +
+                                    static_cast<std::size_t>(b[i])];
+    out[i] = v;
+    w += distance(v);
+  }
+  return w;
+}
+
+}  // namespace
+
 DependencyMatrix::DependencyMatrix(std::size_t num_tasks)
     : n_(num_tasks), cells_(num_tasks * num_tasks, DepValue::Parallel) {}
 
@@ -14,13 +36,17 @@ DependencyMatrix DependencyMatrix::top(std::size_t num_tasks) {
       if (a != b) m.cells_[a * num_tasks + b] = DepValue::MaybeMutual;
     }
   }
+  m.weight_ = std::uint64_t{dep_distance(DepValue::MaybeMutual)} * num_tasks *
+              (num_tasks - 1);
   return m;
 }
 
 void DependencyMatrix::set(std::size_t a, std::size_t b, DepValue v) {
   BBMG_REQUIRE(a < n_ && b < n_, "task index out of range");
   BBMG_REQUIRE(a != b, "diagonal entries are fixed to ||");
-  cells_[a * n_ + b] = v;
+  DepValue& cell = cells_[a * n_ + b];
+  weight_ = weight_ - distance(cell) + distance(v);
+  cell = v;
 }
 
 void DependencyMatrix::set_pair(std::size_t a, std::size_t b, DepValue v) {
@@ -39,16 +65,15 @@ bool DependencyMatrix::leq(const DependencyMatrix& other) const {
 DependencyMatrix DependencyMatrix::lub(const DependencyMatrix& other) const {
   BBMG_REQUIRE(n_ == other.n_, "matrix size mismatch");
   DependencyMatrix out(n_);
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    out.cells_[i] = dep_lub(cells_[i], other.cells_[i]);
-  }
+  out.weight_ = join_cells(cells_.data(), other.cells_.data(),
+                           out.cells_.data(), cells_.size());
   return out;
 }
 
-std::uint64_t DependencyMatrix::weight() const {
-  std::uint64_t w = 0;
-  for (DepValue v : cells_) w += dep_distance(v);
-  return w;
+void DependencyMatrix::join(const DependencyMatrix& other) {
+  BBMG_REQUIRE(n_ == other.n_, "matrix size mismatch");
+  weight_ = join_cells(cells_.data(), other.cells_.data(), cells_.data(),
+                       cells_.size());
 }
 
 std::uint64_t DependencyMatrix::hash() const {
@@ -109,7 +134,7 @@ std::size_t DependencyMatrix::count_value(DepValue v) const {
 DependencyMatrix lub_all(const std::vector<DependencyMatrix>& ms) {
   BBMG_REQUIRE(!ms.empty(), "lub_all needs a non-empty set");
   DependencyMatrix acc = ms.front();
-  for (std::size_t i = 1; i < ms.size(); ++i) acc = acc.lub(ms[i]);
+  for (std::size_t i = 1; i < ms.size(); ++i) acc.join(ms[i]);
   return acc;
 }
 

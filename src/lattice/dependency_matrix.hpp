@@ -52,8 +52,12 @@ class DependencyMatrix {
   /// Pointwise least upper bound; both matrices must have equal size.
   [[nodiscard]] DependencyMatrix lub(const DependencyMatrix& other) const;
 
+  /// In place: *this = lub(*this, other), without allocating.
+  void join(const DependencyMatrix& other);
+
   /// Sum of dep_distance over all ordered pairs (paper Definition 8).
-  [[nodiscard]] std::uint64_t weight() const;
+  /// Kept current by every mutation, so reading it is O(1).
+  [[nodiscard]] std::uint64_t weight() const { return weight_; }
 
   /// FNV-ish content hash (used by the learner's dedup tables).
   [[nodiscard]] std::uint64_t hash() const;
@@ -76,6 +80,7 @@ class DependencyMatrix {
  private:
   std::size_t n_{0};
   std::vector<DepValue> cells_;  // row-major n*n, diagonal kept at Parallel
+  std::uint64_t weight_{0};      // sum of dep_distance over cells_
 };
 
 /// LUB of a non-empty set of matrices (the paper's `dLUB` summarizer used

@@ -112,6 +112,29 @@ inline constexpr std::array<DepValue, kNumDepValues> kAllDepValues = {
   return DepValue::MaybeMutual;
 }
 
+/// dep_lub and dep_distance as lookup tables indexed by the enum value
+/// (dep_lub(a, b) at a * 8 + b; index 7 is unused).  They are generated from
+/// the functions above at compile time, so those stay the single source of
+/// truth; the matrix join runs on the tables instead of the branches.
+inline constexpr std::array<DepValue, 64> kDepLubTable = [] {
+  std::array<DepValue, 64> t{};
+  for (DepValue a : kAllDepValues) {
+    for (DepValue b : kAllDepValues) {
+      t[static_cast<std::size_t>(a) * 8 + static_cast<std::size_t>(b)] =
+          dep_lub(a, b);
+    }
+  }
+  return t;
+}();
+
+inline constexpr std::array<std::uint8_t, 8> kDepDistanceTable = [] {
+  std::array<std::uint8_t, 8> t{};
+  for (DepValue v : kAllDepValues) {
+    t[static_cast<std::size_t>(v)] = static_cast<std::uint8_t>(dep_distance(v));
+  }
+  return t;
+}();
+
 /// The value seen from the opposite orientation: mirror(d(t1,t2)) is what a
 /// fresh assumption about the same message writes into d(t2,t1).
 [[nodiscard]] constexpr DepValue dep_mirror(DepValue v) {

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "core/matrix_cells.hpp"
 
 namespace bbmg {
 
@@ -574,33 +575,13 @@ MapUpdateAckMsg MapUpdateAckMsg::decode(const Frame& frame) {
 void append_matrix(std::vector<std::uint8_t>& out, const DependencyMatrix& m) {
   BBMG_REQUIRE(m.num_tasks() <= kMaxTasks, "matrix too large for codec");
   append_u16(out, static_cast<std::uint16_t>(m.num_tasks()));
-  for (std::size_t a = 0; a < m.num_tasks(); ++a) {
-    for (std::size_t b = 0; b < m.num_tasks(); ++b) {
-      append_u8(out, static_cast<std::uint8_t>(m.at(a, b)));
-    }
-  }
+  append_matrix_cells(out, m);
 }
 
 DependencyMatrix read_matrix_payload(ByteReader& r) {
   const std::uint16_t n = r.read_u16();
   if (n > kMaxTasks) raise("protocol: matrix size exceeds sanity cap");
-  DependencyMatrix m(n);
-  for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = 0; b < n; ++b) {
-      const std::uint8_t v = r.read_u8();
-      if (v >= kNumDepValues) {
-        raise("protocol: invalid dependency value in matrix payload");
-      }
-      if (a == b) {
-        if (v != static_cast<std::uint8_t>(DepValue::Parallel)) {
-          raise("protocol: matrix diagonal must be parallel");
-        }
-        continue;
-      }
-      m.set(a, b, static_cast<DepValue>(v));
-    }
-  }
-  return m;
+  return read_matrix_cells(r, n, "protocol: ", " in matrix payload");
 }
 
 Frame ModelReplyMsg::to_frame() const {

@@ -26,6 +26,21 @@ TEST(DepValue, DistancesMatchDefinition7) {
   EXPECT_EQ(dep_distance(MM), 9u);
 }
 
+TEST(DepValue, LookupTablesMatchTheSwitchFunctions) {
+  // Exhaustive 7x7: the tables the matrix join runs on are the switch
+  // functions, cell for cell.
+  for (DepValue a : kAllDepValues) {
+    EXPECT_EQ(kDepDistanceTable[static_cast<std::size_t>(a)], dep_distance(a))
+        << dep_to_string(a);
+    for (DepValue b : kAllDepValues) {
+      EXPECT_EQ(kDepLubTable[static_cast<std::size_t>(a) * 8 +
+                             static_cast<std::size_t>(b)],
+                dep_lub(a, b))
+          << dep_to_string(a) << " lub " << dep_to_string(b);
+    }
+  }
+}
+
 TEST(DepValue, BottomAndTop) {
   for (DepValue v : kAllDepValues) {
     EXPECT_TRUE(dep_leq(P, v)) << dep_to_string(v);

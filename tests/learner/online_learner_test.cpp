@@ -2,10 +2,15 @@
 // semantics, convergence monitoring.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 #include "core/heuristic_learner.hpp"
 #include "core/online_learner.hpp"
 #include "gen/gm_case_study.hpp"
+#include "gen/random_model.hpp"
 #include "gen/scenarios.hpp"
 #include "sim/simulator.hpp"
 
@@ -92,6 +97,44 @@ TEST(OnlineLearner, RejectsBadConfig) {
   EXPECT_THROW(OnlineLearner(3, zero), Error);
   OnlineConfig ok;
   EXPECT_THROW(OnlineLearner(0, ok), Error);
+}
+
+TEST(OnlineLearner, EncodedStateMatchesGoldenBytes) {
+  // A 4-task random system at bound 4: one clean period leaves three
+  // hypotheses, then one quarantined period.  The bytes pin the durable
+  // state layout (history, matrix cells, bitsets, stats) so a change to
+  // how matrices are stored in memory cannot move what snapshots hold.
+  RandomModelParams params;
+  params.num_tasks = 4;
+  params.num_layers = 4;
+  params.seed = 1004;
+  SimConfig cfg;
+  cfg.seed = 2004;
+  const Trace trace = simulate_trace(random_model(params), 1, cfg);
+  OnlineConfig config;
+  config.bound = 4;
+  OnlineLearner learner(trace.num_tasks(), config);
+  learner.observe_period(trace.periods()[0]);
+  learner.observe_quarantined_period({true, true, false, true});
+  ASSERT_EQ(learner.hypotheses().size(), 3u);
+
+  std::vector<std::uint8_t> bytes;
+  learner.encode_state(bytes);
+  std::string hex;
+  for (const std::uint8_t b : bytes) {
+    char buf[3];
+    std::snprintf(buf, sizeof buf, "%02x", b);
+    hex += buf;
+  }
+  const std::string golden =
+      "0400000004000000000001000000010000000000000001000300000000010401"
+      "0200040002020001020005001000000001000000000000000000000000000401"
+      "0000040102020001020205001000000001000000000000000000000000010001"
+      "0200040100020001020205001000000001000000000000000000000001000000"
+      "0000000003000000000000000400000000000000130000000000000008000000"
+      "0000000000000000000000000100000000000000000000000000000001000000"
+      "03000000";
+  EXPECT_EQ(hex, golden);
 }
 
 }  // namespace

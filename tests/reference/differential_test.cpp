@@ -1,6 +1,8 @@
 // Differential suite: the product learners against the frozen reference
 // learners (reference_learner.hpp), compared after every period — same
-// frontier order, matrices, assumption sets and LearnStats fields.
+// frontier order, matrices (cell by cell against the frozen byte-per-cell
+// matrix, with the product's cached weight against its O(n^2) sum),
+// assumption sets and LearnStats fields.
 //
 // Inputs: the GM case-study trace and the paper's Fig. 2 trace at bounds
 // {1, 2, 3, 4, 16, 64} (GM at 64 cut to its first 10 periods), simulated
@@ -40,16 +42,31 @@ void expect_same_stats(const LearnStats& ref, const LearnStats& got,
   EXPECT_EQ(got.quarantined_periods, ref.quarantined_periods) << where;
 }
 
+/// The product matrix against the frozen one, cell by cell, and its cached
+/// weight against the frozen O(n^2) sum.
+void expect_same_matrix(const reference::Matrix& ref,
+                        const DependencyMatrix& got, const std::string& where) {
+  ASSERT_EQ(got.num_tasks(), ref.num_tasks()) << where;
+  for (std::size_t a = 0; a < ref.num_tasks(); ++a) {
+    for (std::size_t b = 0; b < ref.num_tasks(); ++b) {
+      EXPECT_EQ(got.at(a, b), ref.at(a, b))
+          << where << ", cell (" << a << "," << b << ")";
+    }
+  }
+  EXPECT_EQ(got.weight(), ref.weight()) << where;
+}
+
 /// Frontier order, matrices and `used` bitsets, then every stats field
 /// (wall_seconds included: neither streaming learner sets it).
 void expect_same(const reference::BoundedLearner& ref,
                  const OnlineLearner& got, const std::string& where) {
-  const std::vector<Hypothesis>& a = ref.hypotheses();
+  const std::vector<reference::Hypothesis>& a = ref.hypotheses();
   const std::vector<Hypothesis>& b = got.hypotheses();
   ASSERT_EQ(b.size(), a.size()) << where;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(b[i].d, a[i].d) << where << ", hypothesis " << i;
-    EXPECT_EQ(b[i].used, a[i].used) << where << ", hypothesis " << i;
+    const std::string at = where + ", hypothesis " + std::to_string(i);
+    expect_same_matrix(a[i].d, b[i].d, at);
+    EXPECT_EQ(b[i].used, a[i].used) << at;
   }
   expect_same_stats(ref.stats(), got.stats(), where);
   EXPECT_EQ(got.stats().wall_seconds, ref.stats().wall_seconds) << where;
@@ -175,9 +192,13 @@ void run_exact(const Trace& trace, const std::string& label) {
     }
     ASSERT_EQ(got_error, ref_error) << where;
     if (!ref_error.empty()) return;
-    const LearnResult want = ref.result();
-    EXPECT_EQ(got.hypotheses, want.hypotheses) << where;
-    expect_same_stats(want.stats, got.stats, where);
+    const std::vector<reference::Matrix> want = ref.matrices();
+    ASSERT_EQ(got.hypotheses.size(), want.size()) << where;
+    for (std::size_t h = 0; h < want.size(); ++h) {
+      expect_same_matrix(want[h], got.hypotheses[h],
+                         where + ", hypothesis " + std::to_string(h));
+    }
+    expect_same_stats(ref.stats(), got.stats, where);
   }
 }
 

@@ -271,15 +271,13 @@ void ExactLearner::observe_period(const Period& period) {
   history_.record_period(pc);
 }
 
-LearnResult ExactLearner::result() const {
-  LearnResult result;
-  result.stats = stats_;
-  for (const auto& h : frontier_) result.hypotheses.push_back(h.d);
-  std::sort(result.hypotheses.begin(), result.hypotheses.end(),
-            [](const DependencyMatrix& a, const DependencyMatrix& b) {
-              return a.weight() < b.weight();
-            });
-  return result;
+std::vector<Matrix> ExactLearner::matrices() const {
+  std::vector<Matrix> out;
+  for (const auto& h : frontier_) out.push_back(h.d);
+  std::sort(out.begin(), out.end(), [](const Matrix& a, const Matrix& b) {
+    return a.weight() < b.weight();
+  });
+  return out;
 }
 
 }  // namespace bbmg::reference

@@ -12,8 +12,9 @@
 //
 // This code is a test-only target, never linked into a product library.
 // Leave it slow and simple; its value is that it does not change when the
-// product learners are optimised.  It shares the product's lattice,
-// Hypothesis, PeriodCandidates and CoExecutionHistory types.
+// product learners are optimised.  It runs on its own frozen matrix and
+// hypothesis (reference_matrix.hpp) and shares only the lattice value
+// functions, PeriodCandidates and CoExecutionHistory with the product.
 #pragma once
 
 #include <cstddef>
@@ -21,8 +22,8 @@
 
 #include "core/candidates.hpp"
 #include "core/history.hpp"
-#include "core/hypothesis.hpp"
 #include "core/learn_result.hpp"
+#include "reference/reference_matrix.hpp"
 #include "trace/trace.hpp"
 
 namespace bbmg::reference {
@@ -65,9 +66,9 @@ class ExactLearner {
 
   void observe_period(const Period& period);
 
-  /// Matrices sorted by weight, as learn_exact returns them (wall_seconds
-  /// stays 0).
-  [[nodiscard]] LearnResult result() const;
+  /// Matrices sorted by weight, as learn_exact returns them.
+  [[nodiscard]] std::vector<Matrix> matrices() const;
+  [[nodiscard]] const LearnStats& stats() const { return stats_; }
 
  private:
   std::size_t num_tasks_;

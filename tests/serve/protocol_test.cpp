@@ -222,6 +222,19 @@ TEST(Protocol, MatrixPayloadRejectsInvalidValues) {
   EXPECT_THROW((void)read_matrix_payload(r), Error);
 }
 
+TEST(Protocol, MatrixPayloadCarriesItsWeight) {
+  DependencyMatrix m(3);
+  m.set_pair(0, 1, DepValue::Forward);
+  m.set(2, 0, DepValue::MaybeMutual);
+  m.set(1, 2, DepValue::Mutual);
+  std::vector<std::uint8_t> bytes;
+  append_matrix(bytes, m);
+  ByteReader r(bytes.data(), bytes.size());
+  const DependencyMatrix got = read_matrix_payload(r);
+  EXPECT_EQ(got, m);
+  EXPECT_EQ(got.weight(), 1u + 1u + 9u + 4u);
+}
+
 TEST(Protocol, MatrixPayloadRejectsNonParallelDiagonal) {
   std::vector<std::uint8_t> bytes;
   append_u16(bytes, 1);
