@@ -14,6 +14,10 @@ namespace bbmg {
 
 namespace {
 
+/// The O(k^2) dominance scan is only applied while the frontier is at most
+/// this large.
+constexpr std::size_t kDominanceLimit = 4096;
+
 /// Remove every hypothesis dominated by another (see
 /// ExactConfig::dominance_pruning).
 void prune_dominated(std::vector<Hypothesis>& frontier) {
@@ -97,7 +101,7 @@ LearnResult learn_exact(const Trace& trace, const ExactConfig& config) {
       }
       stats.peak_hypotheses = std::max(stats.peak_hypotheses, next.size());
       frontier = std::move(next);
-      if (config.dominance_pruning && frontier.size() <= config.dominance_limit) {
+      if (config.dominance_pruning && frontier.size() <= kDominanceLimit) {
         const std::size_t before = frontier.size();
         prune_dominated(frontier);
         pruned += before - frontier.size();

@@ -33,9 +33,6 @@ struct ExactConfig {
   /// final minimal set is provably unchanged (asserted by property tests);
   /// only the intermediate frontier shrinks.
   bool dominance_pruning = false;
-  /// The O(k^2) dominance scan is only applied while the frontier is at
-  /// most this large.
-  std::size_t dominance_limit = 4096;
 };
 
 /// Run the exact learner over the whole trace.  Throws bbmg::Error if the

@@ -7,11 +7,9 @@ namespace bbmg {
 
 // The batch heuristic is the streaming learner fed with the whole trace;
 // all of §3.2's machinery lives in core/online_learner.cpp.
-LearnResult learn_heuristic(const Trace& trace, const HeuristicConfig& config) {
+LearnResult learn_heuristic(const Trace& trace, std::size_t bound) {
   Stopwatch watch;
-  OnlineConfig online;
-  online.bound = config.bound;
-  OnlineLearner learner(trace.num_tasks(), online);
+  OnlineLearner learner(trace.num_tasks(), OnlineConfig{bound});
   for (const auto& period : trace.periods()) {
     learner.observe_period(period);
   }

@@ -23,18 +23,9 @@
 
 namespace bbmg {
 
-struct HeuristicConfig {
-  /// Maximum number of hypotheses kept (paper's "bound"); must be >= 1.
-  std::size_t bound = 16;
-};
-
+/// Learn with at most `bound` hypotheses kept (the paper's "bound"; must
+/// be >= 1).
 [[nodiscard]] LearnResult learn_heuristic(const Trace& trace,
-                                          const HeuristicConfig& config = {});
-
-/// Convenience overload.
-[[nodiscard]] inline LearnResult learn_heuristic(const Trace& trace,
-                                                 std::size_t bound) {
-  return learn_heuristic(trace, HeuristicConfig{bound});
-}
+                                          std::size_t bound);
 
 }  // namespace bbmg

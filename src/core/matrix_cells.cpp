@@ -10,7 +10,7 @@ void append_matrix_cells(std::vector<std::uint8_t>& out,
                          const DependencyMatrix& m) {
   for (std::size_t a = 0; a < m.num_tasks(); ++a) {
     for (std::size_t b = 0; b < m.num_tasks(); ++b) {
-      append_u8(out, static_cast<std::uint8_t>(m.at(a, b)));
+      append_u8(out, dep_code(m.at(a, b)));
     }
   }
 }
@@ -21,19 +21,19 @@ DependencyMatrix read_matrix_cells(ByteReader& r, std::size_t n,
   DependencyMatrix m(n);
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b = 0; b < n; ++b) {
-      const std::uint8_t v = r.read_u8();
-      if (v >= kNumDepValues) {
+      const std::optional<DepValue> v = dep_from_code(r.read_u8());
+      if (!v) {
         raise(std::string(error_prefix) + "invalid dependency value" +
               std::string(value_context));
       }
       if (a == b) {
-        if (v != static_cast<std::uint8_t>(DepValue::Parallel)) {
+        if (*v != DepValue::Parallel) {
           raise(std::string(error_prefix) +
                 "matrix diagonal must be parallel");
         }
         continue;
       }
-      m.set(a, b, static_cast<DepValue>(v));
+      m.set(a, b, *v);
     }
   }
   return m;

@@ -276,14 +276,15 @@ OnlineLearner OnlineLearner::decode_state(ByteReader& r) {
   for (char& c : cells) c = static_cast<char>(r.read_u8() != 0 ? 1 : 0);
   learner.history_.restore_cells(std::move(cells));
 
-  const std::uint32_t nfrontier = r.read_u32();
-  if (nfrontier == 0 || nfrontier > kMaxStateFrontier) {
-    raise("learner state: frontier size out of range");
-  }
-  learner.frontier_.clear();
-  learner.frontier_.reserve(nfrontier);
   const std::size_t bits_expected = static_cast<std::size_t>(n) * n;
   const std::size_t words_expected = (bits_expected + 63) / 64;
+  // Per hypothesis: n^2 cells, the bitset's two u32 sizes and its words.
+  const std::uint32_t nfrontier =
+      r.read_count(kMaxStateFrontier, bits_expected + 8 + 8 * words_expected,
+                   "learner state: frontier size out of range");
+  if (nfrontier == 0) raise("learner state: frontier size out of range");
+  learner.frontier_.clear();
+  learner.frontier_.reserve(nfrontier);
   for (std::uint32_t i = 0; i < nfrontier; ++i) {
     DependencyMatrix d = read_matrix_cells(r, n, "learner state: ");
     const std::uint32_t bits = r.read_u32();
@@ -308,8 +309,8 @@ OnlineLearner OnlineLearner::decode_state(ByteReader& r) {
   const std::uint64_t wall_bits = r.read_u64();
   std::memcpy(&learner.stats_.wall_seconds, &wall_bits,
               sizeof(learner.stats_.wall_seconds));
-  const std::uint32_t nfap = r.read_u32();
-  if (nfap > kMaxPeriods) raise("learner state: period count out of range");
+  const std::uint32_t nfap = r.read_count(
+      kMaxPeriods, 4, "learner state: period count out of range");
   learner.stats_.frontier_after_period.clear();
   learner.stats_.frontier_after_period.reserve(nfap);
   for (std::uint32_t i = 0; i < nfap; ++i) {

@@ -12,28 +12,6 @@ namespace bbmg {
 
 namespace {
 
-/// Direct lower covers of a value in the Fig. 3 lattice (the one-step
-/// specializations).
-std::vector<DepValue> lower_covers(DepValue v) {
-  switch (v) {
-    case DepValue::Parallel:
-      return {};
-    case DepValue::Forward:
-    case DepValue::Backward:
-      return {DepValue::Parallel};
-    case DepValue::MaybeForward:
-      return {DepValue::Forward};
-    case DepValue::MaybeBackward:
-      return {DepValue::Backward};
-    case DepValue::Mutual:
-      return {DepValue::Forward, DepValue::Backward};
-    case DepValue::MaybeMutual:
-      return {DepValue::MaybeForward, DepValue::Mutual,
-              DepValue::MaybeBackward};
-  }
-  return {};
-}
-
 bool matches_all(const DependencyMatrix& d,
                  const std::vector<PeriodCandidates>& pcs) {
   for (const auto& pc : pcs) {
@@ -62,7 +40,7 @@ std::vector<DependencyMatrix> specialize_against(
       for (std::size_t a = 0; a < n && budget > 0; ++a) {
         for (std::size_t b = 0; b < n && budget > 0; ++b) {
           if (a == b) continue;
-          for (DepValue lower : lower_covers(m.at(a, b))) {
+          for (DepValue lower : dep_lower_covers(m.at(a, b))) {
             DependencyMatrix c = m;
             c.set(a, b, lower);
             if (!seen.insert(c.hash()).second) continue;

@@ -86,8 +86,9 @@ bool decode_wal_payload(const std::uint8_t* payload, std::size_t len,
                         WalRecord& record) {
   try {
     ByteReader pr(payload, len);
-    const std::uint32_t nevents = pr.read_u32();
-    if (nevents > kMaxEventsPerPeriod) return false;
+    const std::uint32_t nevents = pr.read_count(
+        kMaxEventsPerPeriod, kEncodedEventSize,
+        "WAL: event count exceeds sanity cap");
     record.events.reserve(nevents);
     for (std::uint32_t i = 0; i < nevents; ++i) {
       record.events.push_back(pr.read_event());

@@ -1,25 +1,39 @@
 #include "lattice/dependency_matrix.hpp"
 
+#include <cstring>
+
 #include "common/error.hpp"
 
 namespace bbmg {
 
 namespace {
 
-unsigned distance(DepValue v) {
-  return kDepDistanceTable[static_cast<std::size_t>(v)];
-}
-
 /// out[i] = dep_lub(a[i], b[i]) for i < size (out may alias a); returns the
-/// weight of out.
+/// weight of out.  Eight cells at a time: the LUB is a byte-wise OR, and a
+/// cell's distance, its flag count c squared, is c plus twice the number
+/// of flag pairs it holds (c + c(c-1) = c^2), at most 9 per byte, so one
+/// multiply sums the eight distances of a word.
 std::uint64_t join_cells(const DepValue* a, const DepValue* b, DepValue* out,
                          std::size_t size) {
+  constexpr std::uint64_t kLow = 0x0101010101010101ull;  // bit 0 of each byte
   std::uint64_t w = 0;
-  for (std::size_t i = 0; i < size; ++i) {
-    const DepValue v = kDepLubTable[static_cast<std::size_t>(a[i]) * 8 +
-                                    static_cast<std::size_t>(b[i])];
-    out[i] = v;
-    w += distance(v);
+  std::size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    std::uint64_t x, y;
+    std::memcpy(&x, a + i, 8);
+    std::memcpy(&y, b + i, 8);
+    x |= y;
+    std::memcpy(out + i, &x, 8);
+    const std::uint64_t f0 = x & kLow;
+    const std::uint64_t f1 = (x >> 1) & kLow;
+    const std::uint64_t f2 = (x >> 2) & kLow;
+    const std::uint64_t d =
+        f0 + f1 + f2 + 2 * ((f0 & f1) + (f0 & f2) + (f1 & f2));
+    w += (d * kLow) >> 56;
+  }
+  for (; i < size; ++i) {
+    out[i] = dep_lub(a[i], b[i]);
+    w += dep_distance(out[i]);
   }
   return w;
 }
@@ -45,7 +59,7 @@ void DependencyMatrix::set(std::size_t a, std::size_t b, DepValue v) {
   BBMG_REQUIRE(a < n_ && b < n_, "task index out of range");
   BBMG_REQUIRE(a != b, "diagonal entries are fixed to ||");
   DepValue& cell = cells_[a * n_ + b];
-  weight_ = weight_ - distance(cell) + distance(v);
+  weight_ = weight_ - dep_distance(cell) + dep_distance(v);
   cell = v;
 }
 

@@ -4,24 +4,20 @@
 
 namespace bbmg {
 
-std::string_view dep_to_string(DepValue v) {
-  switch (v) {
-    case DepValue::Parallel:
-      return "||";
-    case DepValue::Forward:
-      return "->";
-    case DepValue::Backward:
-      return "<-";
-    case DepValue::Mutual:
-      return "<->";
-    case DepValue::MaybeForward:
-      return "->?";
-    case DepValue::MaybeBackward:
-      return "<-?";
-    case DepValue::MaybeMutual:
-      return "<->?";
+std::vector<DepValue> dep_lower_covers(DepValue v) {
+  std::vector<DepValue> covers;
+  for (const std::uint8_t flag : {detail::kB, detail::kC, detail::kF}) {
+    const std::uint8_t below = detail::flags(v) & ~flag;
+    if (below == detail::flags(v) || below == detail::kC) continue;
+    covers.push_back(static_cast<DepValue>(below));
   }
-  return "?";  // unreachable
+  return covers;
+}
+
+std::string_view dep_to_string(DepValue v) {
+  static constexpr std::array<std::string_view, kNumDepValues> kNames = {
+      "||", "->", "<-", "<->", "->?", "<-?", "<->?"};
+  return kNames[dep_code(v)];
 }
 
 DepValue dep_from_string(std::string_view s) {

@@ -28,6 +28,16 @@
 // Cover relations: || < ->, || < <-, -> < ->?, -> < <->, <- < <-?, <- < <->,
 // ->? < <->?, <-> < <->?, <-? < <->?.
 //
+// Flag code.  Each value is a set of three flags: F "permits forward",
+// B "permits backward" and C "conditional" (a permitted direction may also
+// not happen).  || = {}, -> = {F}, <- = {B}, <-> = {F,B}, ->? = {F,C},
+// <-? = {B,C}, <->? = {F,B,C}; the bare {C} is not a value.  With the flag
+// set as the enum's bits, the diagram above is the subset order, so <= is
+// subset, LUB is OR (OR never yields the bare {C}), and the distance is the
+// square of the flag count.  The codes are private to the lattice: the
+// snapshot and wire formats carry dep_code(), the value's index in
+// kAllDepValues.
+//
 // Note (DESIGN.md §2): the lattice is *stipulated* by the paper as the
 // generalization language, it is not derived from the matching semantics;
 // the learner uses it through the minimal-generalization and
@@ -36,19 +46,28 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace bbmg {
 
+// The flag bits; only the lattice's own functions look at them.
+namespace detail {
+inline constexpr std::uint8_t kF = 4;  // permits forward
+inline constexpr std::uint8_t kC = 2;  // conditional
+inline constexpr std::uint8_t kB = 1;  // permits backward
+}  // namespace detail
+
 enum class DepValue : std::uint8_t {
-  Parallel = 0,       // ||
-  Forward = 1,        // ->
-  Backward = 2,       // <-
-  Mutual = 3,         // <->
-  MaybeForward = 4,   // ->?
-  MaybeBackward = 5,  // <-?
-  MaybeMutual = 6,    // <->?
+  Parallel = 0,                                        // ||
+  Forward = detail::kF,                                // ->
+  Backward = detail::kB,                               // <-
+  Mutual = detail::kF | detail::kB,                    // <->
+  MaybeForward = detail::kF | detail::kC,              // ->?
+  MaybeBackward = detail::kB | detail::kC,             // <-?
+  MaybeMutual = detail::kF | detail::kB | detail::kC,  // <->?
 };
 
 inline constexpr std::size_t kNumDepValues = 7;
@@ -58,176 +77,104 @@ inline constexpr std::array<DepValue, kNumDepValues> kAllDepValues = {
     DepValue::Mutual,        DepValue::MaybeForward,  DepValue::MaybeBackward,
     DepValue::MaybeMutual};
 
+namespace detail {
+[[nodiscard]] constexpr std::uint8_t flags(DepValue v) {
+  return static_cast<std::uint8_t>(v);
+}
+[[nodiscard]] constexpr DepValue with(DepValue v, std::uint8_t flag) {
+  return static_cast<DepValue>(flags(v) | flag);
+}
+}  // namespace detail
+
 /// Square distance from the lattice bottom || (paper Definition 7):
-/// {||}=0, {->,<-}=1, {->?,<->,<-?}=4, {<->?}=9.
+/// {||}=0, {->,<-}=1, {->?,<->,<-?}=4, {<->?}=9 — the flag count squared.
 [[nodiscard]] constexpr unsigned dep_distance(DepValue v) {
-  switch (v) {
-    case DepValue::Parallel:
-      return 0;
-    case DepValue::Forward:
-    case DepValue::Backward:
-      return 1;
-    case DepValue::MaybeForward:
-    case DepValue::Mutual:
-    case DepValue::MaybeBackward:
-      return 4;
-    case DepValue::MaybeMutual:
-      return 9;
-  }
-  return 0;  // unreachable
+  const unsigned c = detail::flags(v);
+  const unsigned count = (c >> 2) + ((c >> 1) & 1u) + (c & 1u);
+  return count * count;
 }
 
-/// Partial order on V: a <= b iff a is more specific than (or equal to) b.
+/// Partial order on V: a <= b iff a is more specific than (or equal to) b,
+/// i.e. a's flags are a subset of b's.
 [[nodiscard]] constexpr bool dep_leq(DepValue a, DepValue b) {
-  if (a == b) return true;
-  switch (a) {
-    case DepValue::Parallel:
-      return true;  // bottom
-    case DepValue::Forward:
-      return b == DepValue::MaybeForward || b == DepValue::Mutual ||
-             b == DepValue::MaybeMutual;
-    case DepValue::Backward:
-      return b == DepValue::MaybeBackward || b == DepValue::Mutual ||
-             b == DepValue::MaybeMutual;
-    case DepValue::Mutual:
-    case DepValue::MaybeForward:
-    case DepValue::MaybeBackward:
-      return b == DepValue::MaybeMutual;
-    case DepValue::MaybeMutual:
-      return false;  // top; only <= itself (handled above)
-  }
-  return false;  // unreachable
+  return (detail::flags(a) & ~detail::flags(b)) == 0;
 }
 
-/// Least upper bound (join) of two values.  V is a lattice, so this is
-/// total and unique.
+/// Least upper bound (join) of two values: the union of their flags.
 [[nodiscard]] constexpr DepValue dep_lub(DepValue a, DepValue b) {
-  if (dep_leq(a, b)) return b;
-  if (dep_leq(b, a)) return a;
-  // Incomparable pairs: {->,<-} -> <->;  everything else joins at top.
-  if ((a == DepValue::Forward && b == DepValue::Backward) ||
-      (a == DepValue::Backward && b == DepValue::Forward)) {
-    return DepValue::Mutual;
-  }
-  return DepValue::MaybeMutual;
+  return detail::with(a, detail::flags(b));
 }
-
-/// dep_lub and dep_distance as lookup tables indexed by the enum value
-/// (dep_lub(a, b) at a * 8 + b; index 7 is unused).  They are generated from
-/// the functions above at compile time, so those stay the single source of
-/// truth; the matrix join runs on the tables instead of the branches.
-inline constexpr std::array<DepValue, 64> kDepLubTable = [] {
-  std::array<DepValue, 64> t{};
-  for (DepValue a : kAllDepValues) {
-    for (DepValue b : kAllDepValues) {
-      t[static_cast<std::size_t>(a) * 8 + static_cast<std::size_t>(b)] =
-          dep_lub(a, b);
-    }
-  }
-  return t;
-}();
-
-inline constexpr std::array<std::uint8_t, 8> kDepDistanceTable = [] {
-  std::array<std::uint8_t, 8> t{};
-  for (DepValue v : kAllDepValues) {
-    t[static_cast<std::size_t>(v)] = static_cast<std::uint8_t>(dep_distance(v));
-  }
-  return t;
-}();
 
 /// The value seen from the opposite orientation: mirror(d(t1,t2)) is what a
-/// fresh assumption about the same message writes into d(t2,t1).
+/// fresh assumption about the same message writes into d(t2,t1).  Swaps F
+/// and B.
 [[nodiscard]] constexpr DepValue dep_mirror(DepValue v) {
-  switch (v) {
-    case DepValue::Forward:
-      return DepValue::Backward;
-    case DepValue::Backward:
-      return DepValue::Forward;
-    case DepValue::MaybeForward:
-      return DepValue::MaybeBackward;
-    case DepValue::MaybeBackward:
-      return DepValue::MaybeForward;
-    default:
-      return v;  // ||, <->, <->? are self-mirrored
-  }
+  const std::uint8_t c = detail::flags(v);
+  return static_cast<DepValue>((c & detail::kC) | (c & detail::kF) >> 2 |
+                               (c & detail::kB) << 2);
 }
 
 /// Does v allow t1 (the row task) to determine t2 in some period?
 [[nodiscard]] constexpr bool dep_permits_forward(DepValue v) {
-  return v == DepValue::Forward || v == DepValue::MaybeForward ||
-         v == DepValue::Mutual || v == DepValue::MaybeMutual;
+  return (detail::flags(v) & detail::kF) != 0;
 }
 
 /// Does v allow t1 to depend on t2 in some period?
 [[nodiscard]] constexpr bool dep_permits_backward(DepValue v) {
-  return v == DepValue::Backward || v == DepValue::MaybeBackward ||
-         v == DepValue::Mutual || v == DepValue::MaybeMutual;
+  return (detail::flags(v) & detail::kB) != 0;
 }
 
 /// Does v *require* t1, whenever it executes, to determine t2?
 [[nodiscard]] constexpr bool dep_requires_forward(DepValue v) {
-  return v == DepValue::Forward || v == DepValue::Mutual;
+  return (detail::flags(v) & (detail::kF | detail::kC)) == detail::kF;
 }
 
 /// Does v *require* t1, whenever it executes, to depend on t2?
 [[nodiscard]] constexpr bool dep_requires_backward(DepValue v) {
-  return v == DepValue::Backward || v == DepValue::Mutual;
+  return (detail::flags(v) & (detail::kB | detail::kC)) == detail::kB;
 }
 
 /// Minimal generalization making a forward dependency permitted:
 /// the least v' >= v with dep_permits_forward(v').  (paper §3.1: "each time
 /// we only generalize as much as necessary").
 [[nodiscard]] constexpr DepValue dep_generalize_permit_forward(DepValue v) {
-  switch (v) {
-    case DepValue::Parallel:
-      return DepValue::Forward;
-    case DepValue::Backward:
-      return DepValue::Mutual;
-    case DepValue::MaybeBackward:
-      return DepValue::MaybeMutual;
-    default:
-      return v;  // already permits
-  }
+  return detail::with(v, detail::kF);
 }
 
 /// Minimal generalization making a backward dependency permitted.
 [[nodiscard]] constexpr DepValue dep_generalize_permit_backward(DepValue v) {
-  switch (v) {
-    case DepValue::Parallel:
-      return DepValue::Backward;
-    case DepValue::Forward:
-      return DepValue::Mutual;
-    case DepValue::MaybeForward:
-      return DepValue::MaybeMutual;
-    default:
-      return v;
-  }
+  return detail::with(v, detail::kB);
 }
 
 /// Minimal weakening removing an unmet forward *requirement*: the least
 /// v' >= v with !dep_requires_forward(v').  Used by the period-end
 /// post-processing ("test conditional dependencies").
 [[nodiscard]] constexpr DepValue dep_weaken_forward_requirement(DepValue v) {
-  switch (v) {
-    case DepValue::Forward:
-      return DepValue::MaybeForward;
-    case DepValue::Mutual:
-      return DepValue::MaybeMutual;
-    default:
-      return v;
-  }
+  return dep_requires_forward(v) ? detail::with(v, detail::kC) : v;
 }
 
 /// Minimal weakening removing an unmet backward requirement.
 [[nodiscard]] constexpr DepValue dep_weaken_backward_requirement(DepValue v) {
-  switch (v) {
-    case DepValue::Backward:
-      return DepValue::MaybeBackward;
-    case DepValue::Mutual:
-      return DepValue::MaybeMutual;
-    default:
-      return v;
-  }
+  return dep_requires_backward(v) ? detail::with(v, detail::kC) : v;
+}
+
+/// Direct lower covers of v (the one-step specializations): v with one
+/// flag cleared, in the order B, C, F, skipping the bare {C}.  <->? gives
+/// ->?, <->, <-?.
+[[nodiscard]] std::vector<DepValue> dep_lower_covers(DepValue v);
+
+/// The snapshot/wire byte of v: its index in kAllDepValues, which is
+/// F + 2B + 3C.  Only core/matrix_cells translates at that boundary.
+[[nodiscard]] constexpr std::uint8_t dep_code(DepValue v) {
+  const std::uint8_t c = detail::flags(v);
+  return static_cast<std::uint8_t>((c >> 2) + 2 * (c & 1) + 3 * (c >> 1 & 1));
+}
+
+/// The value whose dep_code is `code`; nullopt for bytes 7..255.
+[[nodiscard]] constexpr std::optional<DepValue> dep_from_code(
+    std::uint8_t code) {
+  if (code >= kNumDepValues) return std::nullopt;
+  return kAllDepValues[code];
 }
 
 /// ASCII rendering used in tables and the trace/report formats:

@@ -144,10 +144,10 @@ RobustOnlineLearner RobustOnlineLearner::decode_state(
     raise("robust state: invalid health state");
   }
   rl.last_health_ = static_cast<HealthState>(health);
-  const std::uint32_t ndefects = r.read_u32();
-  if (ndefects > kMaxStateDefects) {
-    raise("robust state: defect count out of range");
-  }
+  // Per defect: kind u8, period and event u64, repaired u8.
+  const std::uint32_t ndefects = r.read_count(
+      kMaxStateDefects, 1 + 8 + 8 + 1,
+      "robust state: defect count out of range");
   rl.defects_.clear();
   rl.defects_.reserve(ndefects);
   for (std::uint32_t i = 0; i < ndefects; ++i) {

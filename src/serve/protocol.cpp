@@ -243,10 +243,9 @@ EventsMsg EventsMsg::decode(const Frame& frame) {
   ByteReader r = payload_reader(frame);
   EventsMsg m;
   m.session = r.read_u32();
-  const std::uint32_t count = r.read_u32();
-  if (count > kMaxEventsPerPeriod) {
-    raise("protocol: event count exceeds sanity cap");
-  }
+  const std::uint32_t count =
+      r.read_count(kMaxEventsPerPeriod, kEncodedEventSize,
+                   "protocol: event count exceeds sanity cap");
   m.events.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) m.events.push_back(r.read_event());
   finish(frame, r, "events");
@@ -278,10 +277,9 @@ QueryMsg QueryMsg::decode(const Frame& frame) {
   if ((flags & ~0x3u) != 0) raise("protocol: unknown query flags");
   m.drain = (flags & 1) != 0;
   if ((flags & 2) != 0) {
-    const std::uint32_t count = r.read_u32();
-    if (count > kMaxEventsPerPeriod) {
-      raise("protocol: probe event count exceeds sanity cap");
-    }
+    const std::uint32_t count =
+        r.read_count(kMaxEventsPerPeriod, kEncodedEventSize,
+                     "protocol: probe event count exceeds sanity cap");
     std::vector<Event> probe;
     probe.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) probe.push_back(r.read_event());
@@ -377,10 +375,10 @@ TraceDumpResponseMsg TraceDumpResponseMsg::decode(const Frame& frame) {
   TraceDumpResponseMsg m;
   m.server_now_ns = r.read_u64();
   m.drops = r.read_u64();
-  const std::uint32_t nspans = r.read_u32();
-  if (nspans > kMaxWireSpans) {
-    raise("protocol: span count exceeds sanity cap");
-  }
+  // Per span: name length u16, tid u32, five u64 fields, flow u8.
+  const std::uint32_t nspans = r.read_count(
+      kMaxWireSpans, 2 + 4 + 5 * 8 + 1,
+      "protocol: span count exceeds sanity cap");
   m.spans.reserve(nspans);
   for (std::uint32_t i = 0; i < nspans; ++i) {
     WireSpan s;
@@ -472,10 +470,8 @@ ClusterMapResponseMsg ClusterMapResponseMsg::decode(const Frame& frame) {
   ByteReader r = payload_reader(frame);
   ClusterMapResponseMsg m;
   m.epoch = r.read_u64();
-  const std::uint32_t nshards = r.read_u32();
-  if (nshards > kMaxWireShards) {
-    raise("protocol: shard count exceeds sanity cap");
-  }
+  const std::uint32_t nshards = r.read_count(
+      kMaxWireShards, 2 + 2, "protocol: shard count exceeds sanity cap");
   m.shards.reserve(nshards);
   for (std::uint32_t i = 0; i < nshards; ++i) {
     WireShard s;
@@ -662,21 +658,6 @@ MetricsRequestMsg MetricsRequestMsg::decode(const Frame& frame) {
   return {};
 }
 
-namespace {
-
-std::uint32_t read_metric_count(ByteReader& r, std::size_t cap,
-                                const char* what) {
-  const std::uint32_t n = r.read_u32();
-  if (n > cap) {
-    std::ostringstream os;
-    os << "protocol: " << what << " count exceeds sanity cap";
-    raise(os.str());
-  }
-  return n;
-}
-
-}  // namespace
-
 Frame MetricsResponseMsg::to_frame() const {
   Frame f;
   f.type = FrameType::MetricsResponse;
@@ -706,8 +687,9 @@ Frame MetricsResponseMsg::to_frame() const {
 MetricsResponseMsg MetricsResponseMsg::decode(const Frame& frame) {
   ByteReader r = payload_reader(frame);
   MetricsResponseMsg m;
-  const std::uint32_t ncounters =
-      read_metric_count(r, kMaxWireMetrics, "counter");
+  // Per counter or gauge: name length u16 and a u64 value.
+  const std::uint32_t ncounters = r.read_count(
+      kMaxWireMetrics, 2 + 8, "protocol: counter count exceeds sanity cap");
   m.snapshot.counters.reserve(ncounters);
   for (std::uint32_t i = 0; i < ncounters; ++i) {
     obs::CounterSample c;
@@ -715,7 +697,8 @@ MetricsResponseMsg MetricsResponseMsg::decode(const Frame& frame) {
     c.value = r.read_u64();
     m.snapshot.counters.push_back(std::move(c));
   }
-  const std::uint32_t ngauges = read_metric_count(r, kMaxWireMetrics, "gauge");
+  const std::uint32_t ngauges = r.read_count(
+      kMaxWireMetrics, 2 + 8, "protocol: gauge count exceeds sanity cap");
   m.snapshot.gauges.reserve(ngauges);
   for (std::uint32_t i = 0; i < ngauges; ++i) {
     obs::GaugeSample g;
@@ -723,14 +706,19 @@ MetricsResponseMsg MetricsResponseMsg::decode(const Frame& frame) {
     g.value = static_cast<std::int64_t>(r.read_u64());
     m.snapshot.gauges.push_back(std::move(g));
   }
+  // Per histogram: name length u16, bucket count u32, the +Inf count,
+  // sum and count.
   const std::uint32_t nhists =
-      read_metric_count(r, kMaxWireMetrics, "histogram");
+      r.read_count(kMaxWireMetrics, 2 + 4 + 3 * 8,
+                   "protocol: histogram count exceeds sanity cap");
   m.snapshot.histograms.reserve(nhists);
   for (std::uint32_t i = 0; i < nhists; ++i) {
     obs::HistogramSample h;
     h.name = r.read_string();
-    const std::uint32_t nbounds =
-        read_metric_count(r, kMaxWireHistogramBuckets, "histogram bucket");
+    // Per bucket: its bound and its count.
+    const std::uint32_t nbounds = r.read_count(
+        kMaxWireHistogramBuckets, 2 * 8,
+        "protocol: histogram bucket count exceeds sanity cap");
     h.upper_bounds.reserve(nbounds);
     for (std::uint32_t b = 0; b < nbounds; ++b) {
       h.upper_bounds.push_back(r.read_u64());
@@ -800,8 +788,10 @@ HealthResponseMsg HealthResponseMsg::decode(const Frame& frame) {
     raise("protocol: invalid overall alert state in health response");
   }
   m.evaluated_at_ms = r.read_u64();
+  // Per objective: name and detail lengths, state u8, two u64 burns.
   const std::uint32_t nobjectives =
-      read_metric_count(r, kMaxWireObjectives, "objective");
+      r.read_count(kMaxWireObjectives, 2 + 1 + 2 * 8 + 2,
+                   "protocol: objective count exceeds sanity cap");
   m.objectives.reserve(nobjectives);
   for (std::uint32_t i = 0; i < nobjectives; ++i) {
     WireObjectiveHealth o;
@@ -815,8 +805,10 @@ HealthResponseMsg HealthResponseMsg::decode(const Frame& frame) {
     o.detail = r.read_string();
     m.objectives.push_back(std::move(o));
   }
+  // Per endpoint: two string lengths, state u8, three u64 fields.
   const std::uint32_t nendpoints =
-      read_metric_count(r, kMaxWireEndpoints, "endpoint");
+      r.read_count(kMaxWireEndpoints, 2 + 2 + 1 + 3 * 8,
+                   "protocol: endpoint count exceeds sanity cap");
   m.endpoints.reserve(nendpoints);
   for (std::uint32_t i = 0; i < nendpoints; ++i) {
     WireEndpointHealth e;
@@ -877,8 +869,10 @@ VspaceHistogramSnapshot read_vspace_hist(ByteReader& r) {
   VspaceHistogramSnapshot h;
   h.sum = r.read_u64();
   h.count = r.read_u64();
-  const std::uint32_t nbuckets =
-      read_metric_count(r, kMaxWireVspaceBuckets, "vspace histogram bucket");
+  // Per bucket: its u64 count (the bounds are not on the wire).
+  const std::uint32_t nbuckets = r.read_count(
+      kMaxWireVspaceBuckets, 8,
+      "protocol: vspace histogram bucket count exceeds sanity cap");
   h.bounds.reserve(nbuckets);
   std::uint64_t bound = 1;
   for (std::uint32_t i = 0; i < nbuckets; ++i) {

@@ -99,6 +99,21 @@ std::string ByteReader::read_string() {
   return s;
 }
 
+std::uint32_t ByteReader::read_count(std::size_t cap,
+                                     std::size_t min_item_bytes,
+                                     std::string_view cap_error) {
+  const std::uint32_t count = read_u32();
+  if (count > cap) raise(std::string(cap_error));
+  if (remaining() / min_item_bytes < count) {
+    std::ostringstream os;
+    os << "binary codec: truncated input (count " << count << " of "
+       << min_item_bytes << "-byte items at offset " << pos_ << ", have "
+       << remaining() << " bytes)";
+    raise(os.str());
+  }
+  return count;
+}
+
 Event ByteReader::read_event() {
   const std::uint8_t kind = read_u8();
   if (kind > static_cast<std::uint8_t>(EventKind::MsgFall)) {

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/event.hpp"
@@ -66,6 +67,14 @@ class ByteReader {
   /// Reads u16 length + bytes; length capped at kMaxNameLength.
   [[nodiscard]] std::string read_string();
   [[nodiscard]] Event read_event();
+  /// Reads the u32 count of a count-prefixed list before anything is
+  /// reserved for it.  Raises `cap_error` when the count is above `cap`,
+  /// and a truncated-input error when fewer than count x
+  /// `min_item_bytes` (>= 1) bytes remain, so a hostile count cannot drive
+  /// an allocation larger than the input that claims it.
+  [[nodiscard]] std::uint32_t read_count(std::size_t cap,
+                                         std::size_t min_item_bytes,
+                                         std::string_view cap_error);
 
   [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
   [[nodiscard]] bool done() const { return pos_ == size_; }

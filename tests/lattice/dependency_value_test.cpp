@@ -1,8 +1,13 @@
-// The 7-value lattice (paper Definition 5/7, Fig. 3) — exhaustive checks
-// of the order, the lattice laws, and the learner's operator tables.
+// The 7-value lattice (paper Definition 5/7, Fig. 3) — frozen truth tables
+// of every value operation, the wire code, and exhaustive checks of the
+// order, the lattice laws and the learner's operators.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
+#include "core/matrix_cells.hpp"
 #include "lattice/dependency_value.hpp"
 
 namespace bbmg {
@@ -26,17 +31,105 @@ TEST(DepValue, DistancesMatchDefinition7) {
   EXPECT_EQ(dep_distance(MM), 9u);
 }
 
-TEST(DepValue, LookupTablesMatchTheSwitchFunctions) {
-  // Exhaustive 7x7: the tables the matrix join runs on are the switch
-  // functions, cell for cell.
-  for (DepValue a : kAllDepValues) {
-    EXPECT_EQ(kDepDistanceTable[static_cast<std::size_t>(a)], dep_distance(a))
-        << dep_to_string(a);
-    for (DepValue b : kAllDepValues) {
-      EXPECT_EQ(kDepLubTable[static_cast<std::size_t>(a) * 8 +
-                             static_cast<std::size_t>(b)],
-                dep_lub(a, b))
+// Frozen truth tables: the whole value layer written out literally, rows
+// and columns in kAllDepValues order.  The other tests here check lattice
+// laws with the product's own functions, so a wrong flag mask that still
+// forms a lattice would pass them; these tables would not.
+constexpr DepValue kLub[kNumDepValues][kNumDepValues] = {
+    {P, F, B, M, MF, MB, MM},  // P
+    {F, F, M, M, MF, MM, MM},  // F
+    {B, M, B, M, MM, MB, MM},  // B
+    {M, M, M, M, MM, MM, MM},  // M
+    {MF, MF, MM, MM, MF, MM, MM},  // MF
+    {MB, MM, MB, MM, MM, MB, MM},  // MB
+    {MM, MM, MM, MM, MM, MM, MM},  // MM
+};
+
+constexpr bool kLeq[kNumDepValues][kNumDepValues] = {
+    {1, 1, 1, 1, 1, 1, 1},  // P
+    {0, 1, 0, 1, 1, 0, 1},  // F
+    {0, 0, 1, 1, 0, 1, 1},  // B
+    {0, 0, 0, 1, 0, 0, 1},  // M
+    {0, 0, 0, 0, 1, 0, 1},  // MF
+    {0, 0, 0, 0, 0, 1, 1},  // MB
+    {0, 0, 0, 0, 0, 0, 1},  // MM
+};
+
+struct ValueRow {
+  DepValue v;
+  unsigned distance;
+  DepValue mirror;
+  bool permits_forward, permits_backward;
+  bool requires_forward, requires_backward;
+  DepValue generalize_forward, generalize_backward;
+  DepValue weaken_forward, weaken_backward;
+  std::vector<DepValue> lower_covers;  // in search order
+};
+
+const std::vector<ValueRow> kRows = {
+    {P, 0, P, 0, 0, 0, 0, F, B, P, P, {}},
+    {F, 1, B, 1, 0, 1, 0, F, M, MF, F, {P}},
+    {B, 1, F, 0, 1, 0, 1, M, B, B, MB, {P}},
+    {M, 4, M, 1, 1, 1, 1, M, M, MM, MM, {F, B}},
+    {MF, 4, MB, 1, 0, 0, 0, MF, MM, MF, MF, {F}},
+    {MB, 4, MF, 0, 1, 0, 0, MM, MB, MB, MB, {B}},
+    {MM, 9, MM, 1, 1, 0, 0, MM, MM, MM, MM, {MF, M, MB}},
+};
+
+TEST(DepValue, FrozenLubAndLeqTables) {
+  for (std::size_t i = 0; i < kNumDepValues; ++i) {
+    for (std::size_t j = 0; j < kNumDepValues; ++j) {
+      const DepValue a = kAllDepValues[i];
+      const DepValue b = kAllDepValues[j];
+      EXPECT_EQ(dep_lub(a, b), kLub[i][j])
           << dep_to_string(a) << " lub " << dep_to_string(b);
+      EXPECT_EQ(dep_leq(a, b), kLeq[i][j])
+          << dep_to_string(a) << " <= " << dep_to_string(b);
+    }
+  }
+}
+
+TEST(DepValue, FrozenPerValueRows) {
+  ASSERT_EQ(kRows.size(), kNumDepValues);
+  for (std::size_t i = 0; i < kNumDepValues; ++i) {
+    const ValueRow& row = kRows[i];
+    const DepValue v = row.v;
+    ASSERT_EQ(v, kAllDepValues[i]);
+    SCOPED_TRACE(std::string(dep_to_string(v)));
+    EXPECT_EQ(dep_distance(v), row.distance);
+    EXPECT_EQ(dep_mirror(v), row.mirror);
+    EXPECT_EQ(dep_permits_forward(v), row.permits_forward);
+    EXPECT_EQ(dep_permits_backward(v), row.permits_backward);
+    EXPECT_EQ(dep_requires_forward(v), row.requires_forward);
+    EXPECT_EQ(dep_requires_backward(v), row.requires_backward);
+    EXPECT_EQ(dep_generalize_permit_forward(v), row.generalize_forward);
+    EXPECT_EQ(dep_generalize_permit_backward(v), row.generalize_backward);
+    EXPECT_EQ(dep_weaken_forward_requirement(v), row.weaken_forward);
+    EXPECT_EQ(dep_weaken_backward_requirement(v), row.weaken_backward);
+    EXPECT_EQ(dep_lower_covers(v), row.lower_covers);
+  }
+}
+
+TEST(DepValue, WireCodeIsTheIndexInAllValues) {
+  // The snapshot and wire byte of a value is its kAllDepValues index, read
+  // back through the one cell codec; every other byte is rejected.
+  for (unsigned byte = 0; byte < 256; ++byte) {
+    const auto code = static_cast<std::uint8_t>(byte);
+    const std::vector<std::uint8_t> cells = {0, code, 0, 0};  // 2x2, row-major
+    ByteReader r(cells.data(), cells.size());
+    if (byte < kNumDepValues) {
+      const DepValue v = kAllDepValues[byte];
+      EXPECT_EQ(dep_code(v), code);
+      EXPECT_EQ(dep_from_code(code), v);
+      EXPECT_EQ(read_matrix_cells(r, 2, "test: ").at(0, 1), v);
+    } else {
+      EXPECT_FALSE(dep_from_code(code).has_value()) << byte;
+      try {
+        (void)read_matrix_cells(r, 2, "test: ");
+        ADD_FAILURE() << "byte " << byte << " was accepted";
+      } catch (const Error& e) {
+        EXPECT_STREQ(e.what(), "test: invalid dependency value") << byte;
+      }
     }
   }
 }

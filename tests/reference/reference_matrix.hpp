@@ -3,14 +3,15 @@
 //
 // A plain copy of lattice/dependency_matrix and core/hypothesis as they
 // were before the product matrix started keeping its weight up to date and
-// joining through lookup tables: weight() is an O(n^2) sum, lub() calls the
-// branchy dep_lub per cell, hash() is the FNV scan, and assume() is the
-// §3.1 minimal generalization.  The product's matrices are compared with
-// these cell by cell, and their cached weights with weight() here, so a
-// wrong cached weight, a wrong join table or a changed cell layout shows
-// up as a difference.  Only the lattice value functions
-// (lattice/dependency_value.hpp, the definition of the lattice) and the
-// per-period inputs (PeriodCandidates, CoExecutionHistory) are shared.
+// joining cells and weight in one fused pass: weight() is an O(n^2) sum,
+// lub() calls dep_lub cell by cell in its own loop, hash() is the FNV
+// scan, and assume() is the §3.1 minimal generalization.  The product's
+// matrices are compared with these cell by cell, and their cached weights
+// with weight() here, so a wrong cached weight, a wrong fused join or a
+// changed cell layout shows up as a difference.  Only the lattice value
+// functions (lattice/dependency_value.hpp, the definition of the lattice,
+// pinned by the frozen truth tables in tests/lattice) and the per-period
+// inputs (PeriodCandidates, CoExecutionHistory) are shared.
 #pragma once
 
 #include <cstddef>

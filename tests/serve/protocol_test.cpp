@@ -238,7 +238,7 @@ TEST(Protocol, MatrixPayloadCarriesItsWeight) {
 TEST(Protocol, MatrixPayloadRejectsNonParallelDiagonal) {
   std::vector<std::uint8_t> bytes;
   append_u16(bytes, 1);
-  append_u8(bytes, static_cast<std::uint8_t>(DepValue::Forward));
+  append_u8(bytes, dep_code(DepValue::Forward));
   ByteReader r(bytes.data(), bytes.size());
   EXPECT_THROW((void)read_matrix_payload(r), Error);
 }
