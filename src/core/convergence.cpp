@@ -20,7 +20,12 @@ std::size_t learn_until_stable(OnlineLearner& learner, const Trace& trace,
   for (const auto& period : trace.periods()) {
     learner.observe_period(period);
     ++consumed;
-    if (detector.observe(learner.snapshot().lub())) break;
+    // Join the live frontier in place: snapshot() would copy and sort every
+    // matrix and the whole per-period history, O(periods) per period.
+    const std::vector<Hypothesis>& hs = learner.hypotheses();
+    DependencyMatrix summary = hs.front().d;
+    for (std::size_t i = 1; i < hs.size(); ++i) summary.join(hs[i].d);
+    if (detector.observe(summary)) break;
   }
   return consumed;
 }

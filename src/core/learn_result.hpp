@@ -8,7 +8,9 @@
 
 namespace bbmg {
 
-struct LearnStats {
+/// The fixed-size counters of LearnStats: copying them is O(1), whatever
+/// the run's length.
+struct LearnCounters {
   std::size_t periods_processed{0};
   std::size_t messages_processed{0};
   /// Largest hypothesis-set size observed at any point during learning
@@ -21,13 +23,17 @@ struct LearnStats {
   /// Messages for which a hypothesis had no unused candidate pair and was
   /// kept unchanged instead of branching (heuristic fallback; see DESIGN.md).
   std::uint64_t unexplained_messages{0};
-  /// Hypothesis-set size after post-processing of each period.
-  std::vector<std::size_t> frontier_after_period;
   /// Streaming only: periods handed to observe_quarantined_period (corrupt
   /// input skipped by the robustness layer; not counted in
   /// periods_processed).
   std::uint64_t quarantined_periods{0};
   double wall_seconds{0.0};
+};
+
+struct LearnStats : LearnCounters {
+  /// Hypothesis-set size after post-processing of each period; grows by
+  /// one entry per period.
+  std::vector<std::size_t> frontier_after_period;
 };
 
 struct LearnResult {

@@ -319,9 +319,13 @@ OnlineLearner OnlineLearner::decode_state(ByteReader& r) {
   return learner;
 }
 
-LearnResult OnlineLearner::snapshot() const {
+LearnResult OnlineLearner::snapshot(bool with_history) const {
   LearnResult result;
-  result.stats = stats_;
+  if (with_history) {
+    result.stats = stats_;
+  } else {
+    static_cast<LearnCounters&>(result.stats) = stats_;
+  }
   result.hypotheses.reserve(frontier_.size());
   for (const auto& h : frontier_) result.hypotheses.push_back(h.d);
   std::sort(result.hypotheses.begin(), result.hypotheses.end(),

@@ -54,8 +54,10 @@ class OnlineLearner {
   [[nodiscard]] const LearnStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t num_tasks() const { return num_tasks_; }
 
-  /// Copy out matrices + stats in the batch-result shape.
-  [[nodiscard]] LearnResult snapshot() const;
+  /// Copy out matrices + stats in the batch-result shape.  Without
+  /// `with_history` the copy leaves stats.frontier_after_period empty, so
+  /// it costs O(frontier) instead of O(frontier + periods).
+  [[nodiscard]] LearnResult snapshot(bool with_history = true) const;
 
   /// Attach a live version-space stats sink (core/vspace_stats.hpp): the
   /// branching loop feeds per-message branching/scan histograms and every

@@ -12,6 +12,12 @@ namespace bbmg {
 
 namespace {
 
+/// Keys the search's seen set by value: hash first, operator== on a tie,
+/// so a 64-bit hash collision cannot drop a distinct specialization.
+struct MatrixHash {
+  std::size_t operator()(const DependencyMatrix& m) const { return m.hash(); }
+};
+
 bool matches_all(const DependencyMatrix& d,
                  const std::vector<PeriodCandidates>& pcs) {
   for (const auto& pc : pcs) {
@@ -31,7 +37,7 @@ std::vector<DependencyMatrix> specialize_against(
     const std::vector<PeriodCandidates>& positives, std::size_t budget) {
   std::vector<DependencyMatrix> found;
   std::vector<DependencyMatrix> frontier{g};
-  std::unordered_set<std::uint64_t> seen{g.hash()};
+  std::unordered_set<DependencyMatrix, MatrixHash> seen{g};
   const std::size_t n = g.num_tasks();
 
   while (!frontier.empty() && budget > 0) {
@@ -43,7 +49,7 @@ std::vector<DependencyMatrix> specialize_against(
           for (DepValue lower : dep_lower_covers(m.at(a, b))) {
             DependencyMatrix c = m;
             c.set(a, b, lower);
-            if (!seen.insert(c.hash()).second) continue;
+            if (!seen.insert(c).second) continue;
             if (budget > 0) --budget;
             if (!matches_period(c, negative)) {
               if (matches_all(c, positives)) found.push_back(std::move(c));

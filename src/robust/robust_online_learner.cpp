@@ -99,7 +99,7 @@ HealthState RobustOnlineLearner::health() const {
 
 RobustSnapshot RobustOnlineLearner::full_snapshot() const {
   RobustSnapshot snap;
-  snap.result = learner_.snapshot();
+  snap.result = learner_.snapshot(/*with_history=*/false);
   snap.health = health();
   snap.periods_seen = seen_;
   snap.periods_learned = periods_learned();

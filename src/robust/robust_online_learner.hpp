@@ -38,7 +38,10 @@ enum class HealthState : std::uint8_t {
 /// instant: the model (hypotheses + stats), the health verdict, and the
 /// ingestion accounting.  This is the unit src/serve copies out per period
 /// (copy-on-snapshot) and serves to queries — an immutable value, detached
-/// from the learner that produced it.
+/// from the learner that produced it.  result.stats.frontier_after_period
+/// is left empty: that history grows by one entry per period, no query
+/// reads it, and a session publishes after every period, so copying it
+/// made each publication O(periods seen).
 struct RobustSnapshot {
   LearnResult result;
   HealthState health{HealthState::OK};
@@ -101,7 +104,8 @@ class RobustOnlineLearner {
   [[nodiscard]] LearnResult snapshot() const { return learner_.snapshot(); }
 
   /// snapshot() plus health and quarantine accounting in one consistent
-  /// copy; the serve layer's publication hook.
+  /// copy; the serve layer's publication hook.  Leaves out the per-period
+  /// history (see RobustSnapshot); learner().stats() still has it.
   [[nodiscard]] RobustSnapshot full_snapshot() const;
 
   /// Live version-space introspection, sampled inside observe: frontier

@@ -143,6 +143,12 @@ TEST(VersionSpace, PaperExampleWithFabricatedNegative) {
   for (const auto& g : vs.general) {
     EXPECT_TRUE(matches_trace(g, pos));
   }
+  // The general boundary examples/negative_examples prints: one member,
+  // the top with only d(t1,t4) lowered from <->? to <->.
+  DependencyMatrix general = DependencyMatrix::top(4);
+  general.set(0, 3, DepValue::Mutual);
+  ASSERT_EQ(vs.general.size(), 1u);
+  EXPECT_EQ(vs.general.front(), general);
 }
 
 }  // namespace

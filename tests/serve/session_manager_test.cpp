@@ -138,6 +138,39 @@ TEST(SessionManager, SingleSessionMatchesOfflineOnCleanTrace) {
                              offline.full_snapshot(), gm.task_names());
 }
 
+TEST(SessionManager, PublishedSnapshotsCarryNoPerPeriodHistory) {
+  // With snapshot_interval = 1 a session publishes after every period; the
+  // per-period frontier history would make each publication O(periods).
+  SimConfig cfg;
+  cfg.seed = 13;
+  const Trace gm = simulate_trace(gm_case_study_model(), kGmCaseStudyPeriods, cfg);
+
+  SessionManager manager(ManagerConfig{1, 64, {}});
+  SessionConfig config;
+  config.snapshot_interval = 1;
+  const SessionId id = manager.open_session(gm.task_names(), config);
+  RobustOnlineLearner offline(gm.task_names(), RobustConfig{});
+  for (const Period& p : gm.periods()) {
+    ASSERT_EQ(manager.submit(id, p.to_events()), SubmitStatus::Accepted);
+    (void)offline.observe_raw_period(p.to_events());
+    EXPECT_TRUE(manager.query(id).snapshot->result.stats.frontier_after_period.empty());
+  }
+  manager.drain(id);
+
+  const RobustSnapshot& served = *manager.query(id).snapshot;
+  const RobustSnapshot reference = offline.full_snapshot();
+  // The learner keeps the history; only the published copy leaves it out.
+  ASSERT_EQ(offline.learner().stats().frontier_after_period.size(), gm.num_periods());
+  EXPECT_TRUE(served.result.stats.frontier_after_period.empty());
+  EXPECT_EQ(served.periods_seen, gm.num_periods());
+  EXPECT_EQ(served.periods_seen, reference.periods_seen);
+  EXPECT_EQ(served.result.lub(), reference.result.lub());
+  // The fixed-size counters still travel with the snapshot.
+  EXPECT_EQ(served.result.stats.hypotheses_created,
+            reference.result.stats.hypotheses_created);
+  EXPECT_EQ(served.result.stats.merges, reference.result.stats.merges);
+}
+
 TEST(SessionManager, OverflowIsRejectedAndAccounted) {
   // One worker whose queue is blocked by a long-running period: capacity 1
   // fills, further non-blocking submits must overflow.
