@@ -12,9 +12,12 @@ namespace {
 /// weight of out.  Eight cells at a time: the LUB is a byte-wise OR, and a
 /// cell's distance, its flag count c squared, is c plus twice the number
 /// of flag pairs it holds (c + c(c-1) = c^2), at most 9 per byte, so one
-/// multiply sums the eight distances of a word.
-std::uint64_t join_cells(const DepValue* a, const DepValue* b, DepValue* out,
-                         std::size_t size) {
+/// multiply sums the eight distances of a word.  Starts on a cache line,
+/// so its loop sits at the same offsets whatever code the linker places
+/// before it (see OnlineLearner::observe_period).
+[[gnu::aligned(64)]] std::uint64_t join_cells(const DepValue* a,
+                                              const DepValue* b, DepValue* out,
+                                              std::size_t size) {
   constexpr std::uint64_t kLow = 0x0101010101010101ull;  // bit 0 of each byte
   std::uint64_t w = 0;
   std::size_t i = 0;

@@ -14,12 +14,11 @@
 #include "cluster/cluster_map.hpp"
 #include "cluster/replicator.hpp"
 #include "common/error.hpp"
-#include "gen/gm_case_study.hpp"
 #include "serve/client.hpp"
 #include "serve/net.hpp"
 #include "serve/resilient_client.hpp"
 #include "serve/server.hpp"
-#include "sim/simulator.hpp"
+#include "support/gm_trace.hpp"
 
 namespace bbmg {
 namespace {
@@ -30,12 +29,6 @@ std::string fresh_dir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/bbmg_repl_" + name;
   fs::remove_all(dir);
   return dir;
-}
-
-Trace gm_trace(std::uint64_t seed, std::size_t periods) {
-  SimConfig cfg;
-  cfg.seed = seed;
-  return simulate_trace(gm_case_study_model(), periods, cfg);
 }
 
 ServerConfig durable_config(const std::string& dir) {

@@ -23,12 +23,11 @@
 #include "cluster/supervisor.hpp"
 #include "common/error.hpp"
 #include "control/controller.hpp"
-#include "gen/gm_case_study.hpp"
 #include "monitor/monitor.hpp"
 #include "robust/robust_online_learner.hpp"
 #include "serve/client.hpp"
 #include "serve/net.hpp"
-#include "sim/simulator.hpp"
+#include "support/gm_trace.hpp"
 
 #ifndef BBMG_SERVED_BIN
 #error "BBMG_SERVED_BIN must point at the bbmg_served executable"
@@ -43,12 +42,6 @@ std::string fresh_dir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/bbmg_control_" + name;
   fs::remove_all(dir);
   return dir;
-}
-
-Trace gm_trace(std::uint64_t seed, std::size_t periods) {
-  SimConfig cfg;
-  cfg.seed = seed;
-  return simulate_trace(gm_case_study_model(), periods, cfg);
 }
 
 /// The model an uninterrupted learner (server defaults) produces.

@@ -19,10 +19,9 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "gen/gm_case_study.hpp"
 #include "serve/resilient_client.hpp"
 #include "serve/server.hpp"
-#include "sim/simulator.hpp"
+#include "support/gm_trace.hpp"
 
 #ifndef BBMG_SERVED_BIN
 #error "BBMG_SERVED_BIN must point at the bbmg_served executable"
@@ -37,12 +36,6 @@ std::string fresh_dir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/bbmg_crash_" + name;
   fs::remove_all(dir);
   return dir;
-}
-
-Trace gm_trace(std::uint64_t seed, std::size_t periods) {
-  SimConfig cfg;
-  cfg.seed = seed;
-  return simulate_trace(gm_case_study_model(), periods, cfg);
 }
 
 /// The model an uninterrupted learner (server defaults) produces.

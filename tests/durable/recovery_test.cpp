@@ -11,8 +11,7 @@
 #include "durable/snapshot.hpp"
 #include "durable/store.hpp"
 #include "durable/wal.hpp"
-#include "gen/gm_case_study.hpp"
-#include "sim/simulator.hpp"
+#include "support/gm_trace.hpp"
 
 namespace bbmg::durable {
 namespace {
@@ -23,12 +22,6 @@ std::string fresh_dir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/bbmg_recovery_" + name;
   fs::remove_all(dir);
   return dir;
-}
-
-Trace gm_trace(std::uint64_t seed, std::size_t periods) {
-  SimConfig cfg;
-  cfg.seed = seed;
-  return simulate_trace(gm_case_study_model(), periods, cfg);
 }
 
 std::vector<std::uint8_t> learner_bytes(const RobustOnlineLearner& l) {

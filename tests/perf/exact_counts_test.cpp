@@ -5,9 +5,9 @@
 //
 // perfbench/driver.cpp is the benchmark of record and is not linked here.
 // The inputs are regenerated through src/ APIs by mirroring its
-// derive_seed, gm_trace, extend_stream, period_frames, wal_bytes and
-// record_counts; a golden mismatch means either the program's work changed
-// or those two copies drifted apart.
+// derive_seed, extend_stream, period_frames, wal_bytes and record_counts
+// (its gm_trace is support/gm_trace.hpp's); a golden mismatch means either
+// the program's work changed or those copies drifted apart.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,7 +26,7 @@
 #include "robust/fault_injector.hpp"
 #include "robust/robust_online_learner.hpp"
 #include "serve/protocol.hpp"
-#include "sim/simulator.hpp"
+#include "support/gm_trace.hpp"
 
 namespace bbmg {
 namespace {
@@ -43,13 +43,6 @@ constexpr std::size_t kDistinctStreams = 2;
 std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t stream) {
   std::uint64_t state = seed * 0x9E3779B97F4A7C15ull + stream;
   return splitmix64(state);
-}
-
-Trace gm_trace(std::uint64_t seed, std::size_t periods) {
-  static const SystemModel model = gm_case_study_model();
-  SimConfig cfg;
-  cfg.seed = seed;
-  return simulate_trace(model, periods, cfg);
 }
 
 /// The first `traces` GM traces of distinct stream `k`, corrupted at

@@ -8,11 +8,14 @@
 // {1, 2, 3, 4, 16, 64} (GM at 64 cut to its first 10 periods), simulated
 // random_model systems with 2..24 tasks (bound 16 up to 16 tasks, bound 64
 // up to 10, so the suite stays near 20 s), a run with quarantined periods
-// mixed in, and the exact learner on the Fig. 2 trace and small random
-// systems.
+// mixed in, a fault-injected GM stream through RobustOnlineLearner at
+// bound 1 (perfbench's served_ingest_b1 input shape), and the exact
+// learner on the Fig. 2 trace and small random systems.  A bound-1 state
+// decoded with two frontier members is pinned to captured values.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -23,7 +26,10 @@
 #include "gen/random_model.hpp"
 #include "gen/scenarios.hpp"
 #include "reference/reference_learner.hpp"
+#include "robust/fault_injector.hpp"
+#include "robust/robust_online_learner.hpp"
 #include "sim/simulator.hpp"
+#include "support/gm_trace.hpp"
 
 namespace bbmg {
 namespace {
@@ -104,12 +110,6 @@ void run_bounded(const Trace& trace, std::size_t bound, std::size_t periods,
   }
 }
 
-Trace gm_trace() {
-  SimConfig cfg;
-  cfg.seed = 7;
-  return simulate_trace(gm_case_study_model(), kGmCaseStudyPeriods, cfg);
-}
-
 Trace random_trace(std::size_t num_tasks, std::size_t periods) {
   RandomModelParams params;
   params.num_tasks = num_tasks;
@@ -124,7 +124,7 @@ class GmDifferential : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(GmDifferential, BoundedLearnerMatchesReferenceEveryPeriod) {
   const std::size_t bound = GetParam();
-  run_bounded(gm_trace(), bound, bound == 64 ? 10 : kGmCaseStudyPeriods,
+  run_bounded(gm_trace(7, kGmCaseStudyPeriods), bound, bound == 64 ? 10 : kGmCaseStudyPeriods,
               "gm");
 }
 
@@ -156,12 +156,75 @@ INSTANTIATE_TEST_SUITE_P(Tasks, RandomModelDifferential,
                          ::testing::Range<std::size_t>(2, 25));
 
 TEST(QuarantineDifferential, QuarantinedPeriodsMixedIn) {
-  const Trace trace = gm_trace();
+  const Trace trace = gm_trace(7, kGmCaseStudyPeriods);
   for (const std::size_t bound : {std::size_t{1}, std::size_t{4},
                                   std::size_t{16}}) {
     run_bounded(trace, bound, trace.num_periods(), "gm+quarantine",
                 {2, 3, 7, 12, 13, 20});
   }
+}
+
+/// perfbench's served_ingest_b1 input shape: GM traces corrupted at a 1%
+/// fault rate, streamed through RobustOnlineLearner at bound 1.  The
+/// reference learner is fed what the sanitizer made of each raw period:
+/// the repaired period when the robust learner learned from it, the
+/// observed-task mask when it quarantined it.
+TEST(RobustIngestDifferential, FaultInjectedGmStreamAtBound1) {
+  const std::vector<std::string> names = gm_trace(1, 1).task_names();
+  RobustConfig config;
+  config.online.bound = 1;
+  RobustOnlineLearner got(names, config);
+  const TraceSanitizer sanitizer(names, config.sanitize);
+  reference::BoundedLearner ref(names.size(), 1);
+  for (std::uint64_t chunk = 0; chunk < 8; ++chunk) {
+    const Trace clean = gm_trace(100 + chunk, kGmCaseStudyPeriods);
+    FaultInjector injector(FaultSpec::uniform(0.01, 500 + chunk));
+    for (const std::vector<Event>& events : injector.corrupt(clean).periods) {
+      const std::string where =
+          "ingest period " + std::to_string(got.periods_seen());
+      const SanitizedPeriod sp =
+          sanitizer.sanitize_period(events, got.periods_seen());
+      if (got.observe_raw_period(events)) {
+        ref.observe_period(*sp.period);
+      } else {
+        ref.observe_quarantined_period(sp.observed_tasks);
+      }
+      expect_same(ref, got.learner(), where);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(got.repairs(), 0u);
+  EXPECT_GT(got.periods_quarantined(), 0u);
+}
+
+/// A bound-1 learner decoded with two frontier members: a bound-2 state
+/// with its bound field patched to 1.  Its next period merges the two
+/// members' children in the bounded list; the frontier and counts after it
+/// were captured from the list path before bound 1 had a path of its own.
+TEST(DecodedBound1State, TwoMembersTakeTheListPath) {
+  const Trace trace = random_trace(12, 8);
+  OnlineLearner b2(trace.num_tasks(), OnlineConfig{2});
+  b2.observe_period(trace.periods()[0]);
+  ASSERT_EQ(b2.hypotheses().size(), 2u);
+  std::vector<std::uint8_t> bytes;
+  b2.encode_state(bytes);
+  bytes[4] = 1;  // the u32 bound, little-endian, after the u32 task count
+  ByteReader r(bytes.data(), bytes.size());
+  OnlineLearner got = OnlineLearner::decode_state(r);
+  ASSERT_EQ(got.hypotheses().size(), 2u);
+
+  got.observe_period(trace.periods()[1]);
+  ASSERT_EQ(got.hypotheses().size(), 1u);
+  const Hypothesis& h = got.hypotheses().front();
+  EXPECT_EQ(h.d.weight(), 86u);
+  EXPECT_EQ(h.hash(), 18312777423616755355ull);
+  const LearnStats& s = got.stats();
+  EXPECT_EQ(s.messages_processed, 18u);
+  EXPECT_EQ(s.hypotheses_created, 136u);
+  EXPECT_EQ(s.merges, 113u);
+  EXPECT_EQ(s.unexplained_messages, 3u);
+  EXPECT_EQ(s.peak_hypotheses, 2u);
+  EXPECT_EQ(s.frontier_after_period, (std::vector<std::size_t>{2, 1}));
 }
 
 /// learn_exact only returns whole-trace results, so it is re-run on every

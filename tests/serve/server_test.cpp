@@ -8,21 +8,14 @@
 
 #include "common/error.hpp"
 #include "core/heuristic_learner.hpp"
-#include "gen/gm_case_study.hpp"
 #include "obs/metrics.hpp"
 #include "serve/client.hpp"
 #include "serve/net.hpp"
 #include "serve/server.hpp"
-#include "sim/simulator.hpp"
+#include "support/gm_trace.hpp"
 
 namespace bbmg {
 namespace {
-
-Trace gm_trace(std::uint64_t seed, std::size_t periods) {
-  SimConfig cfg;
-  cfg.seed = seed;
-  return simulate_trace(gm_case_study_model(), periods, cfg);
-}
 
 TEST(ServerEndToEnd, ReplayedTraceServesTheOfflineModel) {
   ServerConfig config;

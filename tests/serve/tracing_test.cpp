@@ -10,13 +10,12 @@
 #include <thread>
 #include <vector>
 
-#include "gen/gm_case_study.hpp"
 #include "obs/span.hpp"
 #include "obs/trace_context.hpp"
 #include "obs/trace_export.hpp"
 #include "serve/resilient_client.hpp"
 #include "serve/server.hpp"
-#include "sim/simulator.hpp"
+#include "support/gm_trace.hpp"
 
 namespace bbmg {
 namespace {
@@ -82,12 +81,6 @@ TEST(TraceWire, TraceDumpResponseRoundTripsSpansAndFlight) {
   EXPECT_EQ(back.spans[0].parent_id, 0xc3u);
   EXPECT_EQ(back.spans[0].flow, static_cast<std::uint8_t>(obs::FlowDir::In));
   EXPECT_EQ(back.flight, msg.flight);
-}
-
-Trace gm_trace(std::uint64_t seed, std::size_t periods) {
-  SimConfig cfg;
-  cfg.seed = seed;
-  return simulate_trace(gm_case_study_model(), periods, cfg);
 }
 
 // The tentpole property: 8 concurrent traced sessions, and afterwards
