@@ -37,57 +37,6 @@ NodeRole DependencyGraph::role(TaskId t, std::size_t threshold) const {
   return NodeRole::Plain;
 }
 
-std::vector<TaskId> DependencyGraph::always_determines(TaskId t) const {
-  std::vector<TaskId> out;
-  for (std::size_t b = 0; b < d_.num_tasks(); ++b) {
-    if (b != t.index() && d_.at(t.index(), b) == DepValue::Forward) {
-      out.push_back(TaskId{b});
-    }
-  }
-  return out;
-}
-
-std::vector<TaskId> DependencyGraph::always_depends_on(TaskId t) const {
-  std::vector<TaskId> out;
-  for (std::size_t b = 0; b < d_.num_tasks(); ++b) {
-    if (b != t.index() && d_.at(t.index(), b) == DepValue::Backward) {
-      out.push_back(TaskId{b});
-    }
-  }
-  return out;
-}
-
-bool DependencyGraph::reachable(TaskId a, TaskId b, bool include_maybe) const {
-  const std::size_t n = d_.num_tasks();
-  std::vector<bool> seen(n, false);
-  std::vector<std::size_t> stack{a.index()};
-  seen[a.index()] = true;
-  while (!stack.empty()) {
-    const std::size_t cur = stack.back();
-    stack.pop_back();
-    if (cur == b.index()) return true;
-    for (std::size_t next = 0; next < n; ++next) {
-      if (seen[next] || next == cur) continue;
-      const DepValue v = d_.at(cur, next);
-      const bool edge = (v == DepValue::Forward) ||
-                        (include_maybe && v == DepValue::MaybeForward);
-      if (edge) {
-        seen[next] = true;
-        stack.push_back(next);
-      }
-    }
-  }
-  return false;
-}
-
-bool DependencyGraph::must_lead_to(TaskId a, TaskId b) const {
-  return a != b && reachable(a, b, /*include_maybe=*/false);
-}
-
-bool DependencyGraph::may_influence(TaskId a, TaskId b) const {
-  return a != b && reachable(a, b, /*include_maybe=*/true);
-}
-
 std::string DependencyGraph::to_dot() const {
   std::string out =
       "digraph dependencies {\n  rankdir=TB;\n  node [shape=circle];\n";

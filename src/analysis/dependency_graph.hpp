@@ -1,6 +1,6 @@
 // Dependency-graph views of a learned dependency function: node
-// classification (disjunction / conjunction, §2.1), reachability queries,
-// and Graphviz export in the style of the paper's Fig. 5.
+// classification (disjunction / conjunction, §2.1) and Graphviz export in
+// the style of the paper's Fig. 5.
 #pragma once
 
 #include <string>
@@ -42,25 +42,11 @@ class DependencyGraph {
   /// `threshold` tasks.
   [[nodiscard]] NodeRole role(TaskId t, std::size_t threshold = 2) const;
 
-  /// Tasks whose execution t always determines: d(t, x) == ->.
-  [[nodiscard]] std::vector<TaskId> always_determines(TaskId t) const;
-  /// Tasks t always depends on: d(t, x) == <-.
-  [[nodiscard]] std::vector<TaskId> always_depends_on(TaskId t) const;
-
-  /// Is b reachable from a over must-determine (->) entries?  With a
-  /// learned matrix this proves "whenever a executes, b executes".
-  [[nodiscard]] bool must_lead_to(TaskId a, TaskId b) const;
-
-  /// Is b reachable from a over {->, ->?} entries (may-influence)?
-  [[nodiscard]] bool may_influence(TaskId a, TaskId b) const;
-
   /// Graphviz export; one styled edge per unordered pair with any
   /// dependency, annotated with the pair's two oriented values.
   [[nodiscard]] std::string to_dot() const;
 
  private:
-  [[nodiscard]] bool reachable(TaskId a, TaskId b, bool include_maybe) const;
-
   DependencyMatrix d_;
   std::vector<std::string> names_;
 };

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
-#include <cstdlib>
 
 namespace bbmg {
 
@@ -54,26 +53,11 @@ std::string format_double(double v, int decimals) {
   return buf;
 }
 
-std::string format_u64(std::uint64_t v) { return std::to_string(v); }
-
 bool parse_u64(std::string_view s, std::uint64_t& out) {
   const char* first = s.data();
   const char* last = s.data() + s.size();
   auto [ptr, ec] = std::from_chars(first, last, out);
   return ec == std::errc{} && ptr == last;
-}
-
-bool parse_double(std::string_view s, double& out) {
-  // std::from_chars for double is available in GCC 12, but keep strtod as
-  // the portable fallback for locales-free parsing of our own output.
-  std::string tmp(s);
-  char* end = nullptr;
-  out = std::strtod(tmp.c_str(), &end);
-  return end != nullptr && *end == '\0' && !tmp.empty();
-}
-
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
 std::size_t token_col(std::string_view line, std::size_t token_index) {

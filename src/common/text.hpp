@@ -22,14 +22,7 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep);
 /// Fixed-point decimal rendering, e.g. format_double(1.23456, 3) == "1.235".
 std::string format_double(double v, int decimals);
 
-/// Thousands-free integer rendering (wrapper for symmetry with the above).
-std::string format_u64(std::uint64_t v);
-
 bool parse_u64(std::string_view s, std::uint64_t& out);
-bool parse_double(std::string_view s, double& out);
-
-/// True if `s` begins with `prefix`.
-bool starts_with(std::string_view s, std::string_view prefix);
 
 /// 1-based column of the first character of the Nth (0-based)
 /// whitespace-separated token of `line`; 1 when the token does not exist.

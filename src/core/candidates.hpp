@@ -51,9 +51,6 @@ class PeriodCandidates {
   }
   [[nodiscard]] std::size_t num_tasks() const { return executed_.size(); }
 
-  /// Total candidate pairs across all messages (branching factor metric).
-  [[nodiscard]] std::size_t total_candidates() const;
-
  private:
   std::vector<std::vector<CandidatePair>> per_message_;
   std::vector<bool> executed_;

@@ -18,32 +18,6 @@ namespace {
 /// this large.
 constexpr std::size_t kDominanceLimit = 4096;
 
-/// Remove every hypothesis dominated by another (see
-/// ExactConfig::dominance_pruning).
-void prune_dominated(std::vector<Hypothesis>& frontier) {
-  std::vector<bool> dead(frontier.size(), false);
-  for (std::size_t i = 0; i < frontier.size(); ++i) {
-    if (dead[i]) continue;
-    for (std::size_t j = 0; j < frontier.size(); ++j) {
-      if (i == j || dead[j]) continue;
-      if (frontier[j].d.leq(frontier[i].d) &&
-          frontier[j].used.is_subset_of(frontier[i].used) &&
-          !(frontier[j] == frontier[i])) {
-        dead[i] = true;
-        break;
-      }
-    }
-  }
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < frontier.size(); ++i) {
-    if (!dead[i]) {
-      if (w != i) frontier[w] = std::move(frontier[i]);
-      ++w;
-    }
-  }
-  frontier.resize(w);
-}
-
 }  // namespace
 
 LearnResult learn_exact(const Trace& trace, const ExactConfig& config) {
@@ -103,7 +77,13 @@ LearnResult learn_exact(const Trace& trace, const ExactConfig& config) {
       frontier = std::move(next);
       if (config.dominance_pruning && frontier.size() <= kDominanceLimit) {
         const std::size_t before = frontier.size();
-        prune_dominated(frontier);
+        // Drop every hypothesis dominated by another (see
+        // ExactConfig::dominance_pruning).
+        erase_dominated(frontier, [](const Hypothesis& lo,
+                                     const Hypothesis& hi) {
+          return lo.d.leq(hi.d) && lo.used.is_subset_of(hi.used) &&
+                 !(lo == hi);
+        });
         pruned += before - frontier.size();
       }
     }

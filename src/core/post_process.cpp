@@ -57,24 +57,10 @@ void remove_duplicates_and_redundant(std::vector<Hypothesis>& frontier) {
 
   // Remove non-minimal elements: h is redundant iff some other (distinct)
   // h' in the set satisfies h' <= h.
-  std::vector<bool> redundant(unique.size(), false);
-  for (std::size_t i = 0; i < unique.size(); ++i) {
-    if (redundant[i]) continue;
-    for (std::size_t j = 0; j < unique.size(); ++j) {
-      if (i == j || redundant[j]) continue;
-      if (unique[j].d.leq(unique[i].d) && unique[j].d != unique[i].d) {
-        redundant[i] = true;
-        break;
-      }
-    }
-  }
-
-  std::vector<Hypothesis> out;
-  out.reserve(unique.size());
-  for (std::size_t i = 0; i < unique.size(); ++i) {
-    if (!redundant[i]) out.push_back(std::move(unique[i]));
-  }
-  frontier = std::move(out);
+  erase_dominated(unique, [](const Hypothesis& lo, const Hypothesis& hi) {
+    return lo.d.leq(hi.d) && lo.d != hi.d;
+  });
+  frontier = std::move(unique);
 }
 
 void post_process_period(std::vector<Hypothesis>& frontier,

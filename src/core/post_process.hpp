@@ -14,8 +14,10 @@
 //      the more specific one matches).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/candidates.hpp"
@@ -53,5 +55,30 @@ void insert_unique(std::vector<Hypothesis>& out, HypothesisIndex& index,
 /// Steps 3-4 only (unification + redundancy removal), used by result
 /// finalization and by tests.
 void remove_duplicates_and_redundant(std::vector<Hypothesis>& frontier);
+
+/// The one dominance scan: erases, in place and keeping order, every x for
+/// which some other element y satisfies strictly_below(y, x).  The
+/// predicate must be a strict partial order, so the survivors do not
+/// depend on the scan order.  O(k^2).
+template <class T, class StrictlyBelow>
+void erase_dominated(std::vector<T>& items, StrictlyBelow strictly_below) {
+  std::vector<bool> dead(items.size(), false);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    for (std::size_t j = 0; j < items.size(); ++j) {
+      if (i == j || dead[j]) continue;
+      if (strictly_below(items[j], items[i])) {
+        dead[i] = true;
+        break;
+      }
+    }
+  }
+  std::size_t w = 0;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (dead[i]) continue;
+    if (w != i) items[w] = std::move(items[i]);
+    ++w;
+  }
+  items.resize(w);
+}
 
 }  // namespace bbmg

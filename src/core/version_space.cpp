@@ -7,6 +7,7 @@
 #include "core/candidates.hpp"
 #include "core/exact_learner.hpp"
 #include "core/matching.hpp"
+#include "core/post_process.hpp"
 
 namespace bbmg {
 
@@ -73,17 +74,19 @@ std::vector<DependencyMatrix> specialize_against(
 
 /// Keep only maximal elements (for the general boundary).
 void prune_non_maximal(std::vector<DependencyMatrix>& ms) {
-  std::vector<DependencyMatrix> out;
-  for (std::size_t i = 0; i < ms.size(); ++i) {
-    bool dominated = false;
-    for (std::size_t j = 0; j < ms.size() && !dominated; ++j) {
-      if (i == j) continue;
-      if (ms[i].leq(ms[j]) && ms[i] != ms[j]) dominated = true;
-      if (ms[i] == ms[j] && j < i) dominated = true;  // dedupe, keep first
+  std::vector<DependencyMatrix> unique;  // keep-first value dedup
+  for (DependencyMatrix& m : ms) {
+    if (std::find(unique.begin(), unique.end(), m) == unique.end()) {
+      unique.push_back(std::move(m));
     }
-    if (!dominated) out.push_back(ms[i]);
   }
-  ms = std::move(out);
+  // Maximal elements only: a member goes when it sits strictly under
+  // another.
+  erase_dominated(unique, [](const DependencyMatrix& hi,
+                             const DependencyMatrix& lo) {
+    return lo.leq(hi) && lo != hi;
+  });
+  ms = std::move(unique);
 }
 
 }  // namespace

@@ -1,59 +1,13 @@
 #include "monitor/aggregate.hpp"
 
-#include <algorithm>
-
 namespace bbmg::monitor {
 
 namespace {
 
-constexpr const char* kQueueDepthPrefix = "bbmg_serve_queue_depth{worker=";
 constexpr const char* kPeriodsApplied = "bbmg_serve_periods_applied_total";
 constexpr const char* kFollowerSuffix = "-follower";
 
 }  // namespace
-
-std::int64_t sum_latest(const TsStore& store, const std::string& metric) {
-  std::int64_t total = 0;
-  for (const std::string& endpoint : store.endpoints_with(metric)) {
-    if (auto sample = store.latest(endpoint, metric)) total += sample->value;
-  }
-  return total;
-}
-
-std::int64_t max_latest(const TsStore& store, const std::string& metric) {
-  std::int64_t best = 0;
-  for (const std::string& endpoint : store.endpoints_with(metric)) {
-    if (auto sample = store.latest(endpoint, metric)) {
-      best = std::max(best, sample->value);
-    }
-  }
-  return best;
-}
-
-double sum_rate_per_sec(const TsStore& store, const std::string& metric,
-                        std::uint64_t window_ms, std::uint64_t now_ms) {
-  double total = 0.0;
-  for (const std::string& endpoint : store.endpoints_with(metric)) {
-    total += store.rate_per_sec(endpoint, metric, window_ms, now_ms);
-  }
-  return total;
-}
-
-std::int64_t total_queue_depth(const TsStore& store) {
-  std::int64_t total = 0;
-  // Worker gauges are per-endpoint labeled names; enumerate each
-  // endpoint's `bbmg_serve_queue_depth{worker=...}` family and sum.
-  for (const std::string& endpoint :
-       store.endpoints_with("bbmg_serve_connections_total")) {
-    for (const std::string& metric :
-         store.metrics_with_prefix(endpoint, kQueueDepthPrefix)) {
-      if (auto sample = store.latest(endpoint, metric)) {
-        total += sample->value;
-      }
-    }
-  }
-  return total;
-}
 
 std::vector<ReplicationLag> replication_lags(const TsStore& store) {
   std::vector<ReplicationLag> out;

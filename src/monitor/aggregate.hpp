@@ -1,9 +1,5 @@
-// Fleet-level rollups over the time-series store: collapse a per-endpoint
-// metric into one number the dashboard and SLO layers can reason about.
-// Sum/max of latest values, summed counter rates, and two purpose-built
-// rollups — total queue depth (the per-worker gauges summed across every
-// worker of every shard) and replication lag (how far each follower's
-// applied-period count trails its primary's).
+// Fleet-level rollup over the time-series store: replication lag, how far
+// each follower's applied-period count trails its primary's.
 #pragma once
 
 #include <cstdint>
@@ -13,24 +9,6 @@
 #include "monitor/ts_store.hpp"
 
 namespace bbmg::monitor {
-
-/// Sum of the latest sample of `metric` across every endpoint that has it.
-[[nodiscard]] std::int64_t sum_latest(const TsStore& store,
-                                      const std::string& metric);
-
-/// Max of the latest sample of `metric` across endpoints (0 when nowhere).
-[[nodiscard]] std::int64_t max_latest(const TsStore& store,
-                                      const std::string& metric);
-
-/// Summed per-second rate of a monotone counter across endpoints.
-[[nodiscard]] double sum_rate_per_sec(const TsStore& store,
-                                      const std::string& metric,
-                                      std::uint64_t window_ms,
-                                      std::uint64_t now_ms);
-
-/// Total serve queue depth: every `bbmg_serve_queue_depth{worker=...}`
-/// gauge across every endpoint, summed.
-[[nodiscard]] std::int64_t total_queue_depth(const TsStore& store);
 
 /// One follower's ingest position relative to its primary.
 struct ReplicationLag {

@@ -26,10 +26,6 @@ std::string count_series(const std::string& histogram) {
   return histogram + "_count";
 }
 
-std::string sum_series(const std::string& histogram) {
-  return histogram + "_sum";
-}
-
 std::string bucket_series(const std::string& histogram,
                           std::uint64_t upper_bound) {
   return histogram + "_bucket_le_" + std::to_string(upper_bound);
@@ -79,7 +75,7 @@ void Scraper::ingest(const std::string& name,
   for (const obs::HistogramSample& h : snapshot.histograms) {
     store_.append(name, count_series(h.name), now_ms,
                   static_cast<std::int64_t>(h.count));
-    store_.append(name, sum_series(h.name), now_ms,
+    store_.append(name, h.name + "_sum", now_ms,
                   static_cast<std::int64_t>(h.sum));
     appended += 2;
     // Per-bucket counts arrive flat; store them cumulative (`le`

@@ -57,7 +57,6 @@ struct EndpointStatus {
 
 /// Series-name helpers shared with the SLO/aggregation layers.
 [[nodiscard]] std::string count_series(const std::string& histogram);
-[[nodiscard]] std::string sum_series(const std::string& histogram);
 [[nodiscard]] std::string bucket_series(const std::string& histogram,
                                         std::uint64_t upper_bound);
 [[nodiscard]] std::string inf_bucket_series(const std::string& histogram);

@@ -119,22 +119,6 @@ std::optional<TsSample> TsStore::latest(const std::string& endpoint,
   return it->second.latest();
 }
 
-double TsStore::rate_per_sec(const std::string& endpoint,
-                             const std::string& metric,
-                             std::uint64_t window_ms,
-                             std::uint64_t now_ms) const {
-  const std::uint64_t since =
-      now_ms >= window_ms ? now_ms - window_ms : 0;
-  const std::vector<TsSample> samples =
-      samples_since(endpoint, metric, since);
-  if (samples.size() < 2) return 0.0;
-  const TsSample& first = samples.front();
-  const TsSample& last = samples.back();
-  if (last.at_ms <= first.at_ms || last.value <= first.value) return 0.0;
-  return static_cast<double>(last.value - first.value) * 1000.0 /
-         static_cast<double>(last.at_ms - first.at_ms);
-}
-
 std::vector<std::string> TsStore::endpoints_with(
     const std::string& metric) const {
   std::lock_guard<std::mutex> lock(mu_);

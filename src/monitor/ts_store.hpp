@@ -86,16 +86,6 @@ class TsStore {
   [[nodiscard]] std::optional<TsSample> latest(
       const std::string& endpoint, const std::string& metric) const;
 
-  /// Per-second rate of a monotone counter over [now_ms - window_ms,
-  /// now_ms], from the earliest and latest retained samples inside the
-  /// window; 0 with fewer than two samples or a non-increasing value (a
-  /// counter reset after an endpoint restart reads as no traffic, not a
-  /// negative rate).
-  [[nodiscard]] double rate_per_sec(const std::string& endpoint,
-                                    const std::string& metric,
-                                    std::uint64_t window_ms,
-                                    std::uint64_t now_ms) const;
-
   /// Endpoints that carry a series for `metric`.
   [[nodiscard]] std::vector<std::string> endpoints_with(
       const std::string& metric) const;

@@ -20,8 +20,8 @@
 
 namespace bbmg::obs {
 
-/// `help` maps base metric names to `# HELP` text (see
-/// MetricsRegistry::help_texts()); pass nullptr to emit `# TYPE` only.
+/// `help` maps base metric names to `# HELP` text; pass nullptr to emit
+/// `# TYPE` only.
 [[nodiscard]] std::string to_prometheus(
     const MetricsSnapshot& snapshot,
     const std::map<std::string, std::string>* help = nullptr);

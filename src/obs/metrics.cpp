@@ -52,21 +52,6 @@ const CounterSample* MetricsSnapshot::find_counter(
   return nullptr;
 }
 
-const GaugeSample* MetricsSnapshot::find_gauge(const std::string& name) const {
-  for (const auto& g : gauges) {
-    if (g.name == name) return &g;
-  }
-  return nullptr;
-}
-
-const HistogramSample* MetricsSnapshot::find_histogram(
-    const std::string& name) const {
-  for (const auto& h : histograms) {
-    if (h.name == name) return &h;
-  }
-  return nullptr;
-}
-
 std::uint64_t MetricsSnapshot::counter_value(const std::string& name) const {
   const CounterSample* c = find_counter(name);
   return c == nullptr ? 0 : c->value;
@@ -116,17 +101,6 @@ void MetricsRegistry::note_help(const std::string& name,
   if (slot.empty()) slot = help;
 }
 
-std::string MetricsRegistry::help_text(const std::string& base_name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = help_.find(base_name);
-  return it == help_.end() ? std::string() : it->second;
-}
-
-std::map<std::string, std::string> MetricsRegistry::help_texts() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return help_;
-}
-
 MetricsSnapshot MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot snap;
@@ -149,11 +123,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     snap.histograms.push_back(std::move(s));
   }
   return snap;
-}
-
-std::size_t MetricsRegistry::num_metrics() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_.size() + gauges_.size() + histograms_.size();
 }
 
 }  // namespace bbmg::obs

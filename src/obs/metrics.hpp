@@ -226,9 +226,6 @@ struct MetricsSnapshot {
   std::vector<HistogramSample> histograms;
 
   [[nodiscard]] const CounterSample* find_counter(const std::string& name) const;
-  [[nodiscard]] const GaugeSample* find_gauge(const std::string& name) const;
-  [[nodiscard]] const HistogramSample* find_histogram(
-      const std::string& name) const;
   /// Value of a counter, or 0 when absent (wire-friendly convenience).
   [[nodiscard]] std::uint64_t counter_value(const std::string& name) const;
 };
@@ -261,13 +258,6 @@ class MetricsRegistry {
                        const std::string& help = "");
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
-
-  [[nodiscard]] std::size_t num_metrics() const;
-
-  /// Help text registered for a base (label-free) metric name, or "".
-  [[nodiscard]] std::string help_text(const std::string& base_name) const;
-  /// All registered help texts, keyed by base name.
-  [[nodiscard]] std::map<std::string, std::string> help_texts() const;
 
  private:
   void note_help(const std::string& name, const std::string& help);

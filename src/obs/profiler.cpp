@@ -118,40 +118,4 @@ std::uint64_t PhaseProfiler::phase_ns(std::size_t phase) const {
   return phase >= slots_.size() ? 0 : slots_[phase].ns->value();
 }
 
-std::uint64_t PhaseProfiler::phase_calls(std::size_t phase) const {
-  return phase >= slots_.size() ? 0 : slots_[phase].calls->value();
-}
-
-std::uint64_t PhaseProfiler::phase_cycles(std::size_t phase) const {
-  return phase >= slots_.size() ? 0 : slots_[phase].cycles->value();
-}
-
-std::uint64_t PhaseProfiler::phase_instructions(std::size_t phase) const {
-  return phase >= slots_.size() ? 0 : slots_[phase].instructions->value();
-}
-
-std::uint64_t PhaseProfiler::phase_cache_misses(std::size_t phase) const {
-  return phase >= slots_.size() ? 0 : slots_[phase].cache_misses->value();
-}
-
-std::uint64_t PhaseProfiler::phase_branch_misses(std::size_t phase) const {
-  return phase >= slots_.size() ? 0 : slots_[phase].branch_misses->value();
-}
-
-std::uint64_t PhaseProfiler::phase_alloc_bytes(std::size_t phase) const {
-  return phase >= slots_.size() ? 0 : slots_[phase].alloc_bytes->value();
-}
-
-std::uint64_t PhaseProfiler::phase_allocs(std::size_t phase) const {
-  return phase >= slots_.size() ? 0 : slots_[phase].allocs->value();
-}
-
-double PhaseProfiler::attributed_fraction() const {
-  const std::uint64_t total = total_ns_->value();
-  if (total == 0) return 0.0;
-  std::uint64_t named = 0;
-  for (const Slot& s : slots_) named += s.ns->value();
-  return static_cast<double>(named) / static_cast<double>(total);
-}
-
 }  // namespace bbmg::obs

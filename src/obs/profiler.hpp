@@ -18,9 +18,9 @@
 // in for the stride-1 units around it.  (Earlier versions recorded only the
 // sampled units' raw counts, which undercounted every rate by the stride;
 // the stride-exactness test pins the scaled behaviour at strides 1/16/256.)
-// Ratios — attributed_fraction(), per-phase shares, ns-per-call — are
-// unaffected because the scale cancels.  bench_obs still runs with stride 1
-// to make the attribution exact rather than estimated.
+// Ratios — the attributed share of unit time, per-phase shares,
+// ns-per-call — are unaffected because the scale cancels.  bench_obs still
+// runs with stride 1 to make the attribution exact rather than estimated.
 //
 // Two more dimensions ride the same phase boundaries: hardware counters
 // (`<hw_prefix>_{cycles,instructions,cache_misses,branch_misses}_total`,
@@ -130,21 +130,11 @@ class PhaseProfiler {
   [[nodiscard]] std::size_t num_phases() const { return slots_.size(); }
   [[nodiscard]] const std::string& phase_name(std::size_t phase) const;
 
-  /// Accumulated totals (for benches and the health report; scrapers read
-  /// the registered metrics instead).  Stride-scaled like the counters.
+  /// Accumulated totals (for benches; scrapers read the registered metrics
+  /// instead).  Stride-scaled like the counters.
   [[nodiscard]] std::uint64_t phase_ns(std::size_t phase) const;
-  [[nodiscard]] std::uint64_t phase_calls(std::size_t phase) const;
-  [[nodiscard]] std::uint64_t phase_cycles(std::size_t phase) const;
-  [[nodiscard]] std::uint64_t phase_instructions(std::size_t phase) const;
-  [[nodiscard]] std::uint64_t phase_cache_misses(std::size_t phase) const;
-  [[nodiscard]] std::uint64_t phase_branch_misses(std::size_t phase) const;
-  [[nodiscard]] std::uint64_t phase_alloc_bytes(std::size_t phase) const;
-  [[nodiscard]] std::uint64_t phase_allocs(std::size_t phase) const;
   [[nodiscard]] std::uint64_t units() const { return units_->value(); }
   [[nodiscard]] std::uint64_t total_ns() const { return total_ns_->value(); }
-  /// Sum over phases / total — the fraction of profiled unit wall time
-  /// attributed to named phases (0 when nothing was sampled).
-  [[nodiscard]] double attributed_fraction() const;
 
  private:
   /// Stride to scale a record_* write by (>= 1; a concurrent set_stride(0)

@@ -89,33 +89,6 @@ void append_span(std::ostringstream& os, const ExportSpan& s, bool& first) {
 
 }  // namespace
 
-std::vector<ExportSpan> to_export_spans(const std::vector<SpanRecord>& spans,
-                                        std::uint32_t pid,
-                                        std::int64_t offset_ns) {
-  std::vector<ExportSpan> out;
-  out.reserve(spans.size());
-  for (const SpanRecord& s : spans) {
-    ExportSpan e;
-    e.name = s.name;
-    e.pid = pid;
-    e.tid = s.thread;
-    const std::int64_t shifted =
-        static_cast<std::int64_t>(s.start_ns) + offset_ns;
-    e.start_ns = shifted > 0 ? static_cast<std::uint64_t>(shifted) : 0;
-    e.duration_ns = s.duration_ns;
-    e.trace_id = s.trace_id;
-    e.span_id = s.span_id;
-    e.parent_id = s.parent_id;
-    e.flow = s.flow;
-    e.cycles = s.cycles;
-    e.instructions = s.instructions;
-    e.cache_misses = s.cache_misses;
-    e.branch_misses = s.branch_misses;
-    out.push_back(std::move(e));
-  }
-  return out;
-}
-
 std::string to_chrome_trace_json(const std::vector<ExportSpan>& spans) {
   // chrome://tracing wants timestamps/durations in microseconds; fractional
   // microseconds keep sub-us spans visible.
@@ -125,16 +98,6 @@ std::string to_chrome_trace_json(const std::vector<ExportSpan>& spans) {
   for (const ExportSpan& s : spans) append_span(os, s, first);
   os << "\n]\n";
   return os.str();
-}
-
-std::string to_chrome_trace_json(const std::vector<SpanRecord>& spans) {
-  return to_chrome_trace_json(to_export_spans(spans, /*pid=*/1));
-}
-
-std::size_t export_chrome_trace(SpanRing& ring, const std::string& path) {
-  const std::vector<SpanRecord> spans = ring.drain();
-  write_chrome_trace(to_export_spans(spans, /*pid=*/1), path);
-  return spans.size();
 }
 
 void write_chrome_trace(const std::vector<ExportSpan>& spans,

@@ -1,7 +1,6 @@
 #include "robust/fault_injector.hpp"
 
-#include <ostream>
-#include <sstream>
+#include <string>
 
 #include "common/error.hpp"
 #include "robust/sanitizer.hpp"
@@ -18,12 +17,6 @@ FaultSpec FaultSpec::uniform(double total_rate, std::uint64_t seed) {
   spec.perturb_rate = each;
   spec.seed = seed;
   return spec;
-}
-
-std::size_t InjectionResult::periods_touched() const {
-  std::size_t n = 0;
-  for (const bool t : period_touched) n += t ? 1 : 0;
-  return n;
 }
 
 FaultInjector::FaultInjector(const FaultSpec& spec)
@@ -110,44 +103,6 @@ InjectionResult FaultInjector::corrupt_raw(
     res.periods.push_back(std::move(out));
   }
   return res;
-}
-
-void write_raw_trace(std::ostream& os,
-                     const std::vector<std::string>& task_names,
-                     const std::vector<std::vector<Event>>& periods) {
-  os << "trace-version 1\n";
-  os << "tasks";
-  for (const auto& name : task_names) os << ' ' << name;
-  os << '\n';
-  for (const auto& period : periods) {
-    os << "period\n";
-    for (const Event& e : period) {
-      switch (e.kind) {
-        case EventKind::TaskStart:
-          os << "start " << task_names[e.task.index()] << ' ' << e.time
-             << '\n';
-          break;
-        case EventKind::TaskEnd:
-          os << "end " << task_names[e.task.index()] << ' ' << e.time << '\n';
-          break;
-        case EventKind::MsgRise:
-          os << "rise " << e.can_id << ' ' << e.time << '\n';
-          break;
-        case EventKind::MsgFall:
-          os << "fall " << e.can_id << ' ' << e.time << '\n';
-          break;
-      }
-    }
-    os << "end-period\n";
-  }
-}
-
-std::string raw_trace_to_string(
-    const std::vector<std::string>& task_names,
-    const std::vector<std::vector<Event>>& periods) {
-  std::ostringstream oss;
-  write_raw_trace(oss, task_names, periods);
-  return oss.str();
 }
 
 }  // namespace bbmg

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -53,7 +52,6 @@ struct InjectionResult {
   std::size_t faults_injected{0};
   /// Per raw period: did at least one fault land in it?
   std::vector<bool> period_touched;
-  [[nodiscard]] std::size_t periods_touched() const;
 };
 
 class FaultInjector {
@@ -69,16 +67,5 @@ class FaultInjector {
   FaultSpec spec_;
   Rng rng_;
 };
-
-/// Serialize raw (possibly corrupt) per-period event streams in the trace
-/// text format — what a damaged capture looks like on disk.  The output may
-/// violate every invariant the strict parser enforces; feed it to
-/// load_trace_file_lenient, not load_trace_file.
-void write_raw_trace(std::ostream& os,
-                     const std::vector<std::string>& task_names,
-                     const std::vector<std::vector<Event>>& periods);
-[[nodiscard]] std::string raw_trace_to_string(
-    const std::vector<std::string>& task_names,
-    const std::vector<std::vector<Event>>& periods);
 
 }  // namespace bbmg

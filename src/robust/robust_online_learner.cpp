@@ -78,11 +78,6 @@ void RobustOnlineLearner::note_health_transition() {
   last_health_ = now;
 }
 
-void RobustOnlineLearner::observe_clean_period(const Period& period) {
-  ++seen_;
-  learner_.observe_period(period);
-}
-
 double RobustOnlineLearner::quarantine_rate() const {
   return seen_ == 0 ? 0.0
                     : static_cast<double>(quarantined_) /

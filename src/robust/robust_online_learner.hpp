@@ -73,9 +73,6 @@ class RobustOnlineLearner {
   /// internal surprises to a quarantine as well.
   bool observe_raw_period(const std::vector<Event>& events);
 
-  /// Feed a pre-validated period, bypassing the sanitizer.
-  void observe_clean_period(const Period& period);
-
   [[nodiscard]] HealthState health() const;
   [[nodiscard]] double quarantine_rate() const;
   [[nodiscard]] std::size_t periods_seen() const { return seen_; }

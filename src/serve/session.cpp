@@ -66,10 +66,9 @@ void LearningSession::checkpoint() {
                          stream_stats_.summary());
 }
 
-void LearningSession::mark_failed(const std::string& why) {
+void LearningSession::mark_failed() {
   {
     std::lock_guard<std::mutex> lock(state_mu_);
-    if (failure_.empty()) failure_ = why;
     failed_.store(true, std::memory_order_release);
   }
   // Wake drain()ers: the period that failed will never be processed.
@@ -79,11 +78,6 @@ void LearningSession::mark_failed(const std::string& why) {
 void LearningSession::set_ship_hook(std::shared_ptr<const ShipHook> hook) {
   std::lock_guard<std::mutex> lock(state_mu_);
   ship_hook_ = std::move(hook);
-}
-
-std::string LearningSession::failure() const {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  return failure_;
 }
 
 void LearningSession::drain() {

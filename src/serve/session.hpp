@@ -139,14 +139,13 @@ class LearningSession {
   /// oversized record, disk full): further submissions are refused with
   /// SubmitStatus::Failed, drain() stops waiting on the period that never
   /// completed, and queries keep serving the last published snapshot.
-  /// Called by the worker that owns the session; the learner may be in a
-  /// partial state, which is why the session can never apply again.
-  void mark_failed(const std::string& why);
+  /// Called by the worker that owns the session, which logs the cause; the
+  /// learner may be in a partial state, which is why the session can never
+  /// apply again.
+  void mark_failed();
   [[nodiscard]] bool failed() const {
     return failed_.load(std::memory_order_acquire);
   }
-  /// First failure's diagnostic ("" while healthy).
-  [[nodiscard]] std::string failure() const;
 
   // -- durability (src/durable) --
 
@@ -202,7 +201,6 @@ class LearningSession {
   StreamingTraceStats stream_stats_;
   std::atomic<bool> closed_{false};
   std::atomic<bool> failed_{false};
-  std::string failure_;  // guarded by state_mu_; set once by mark_failed
 
   /// Durable store (null = in-memory session).  The worker appends to the
   /// WAL inside process() right before the learner applies, so WAL order

@@ -117,7 +117,7 @@ void SessionManager::worker_loop(std::size_t worker_index) {
       // oversized record); an escape here would std::terminate the whole
       // daemon.  Poison just this session — submits are refused, drains
       // wake — and keep the worker serving its other sessions.
-      item->session->mark_failed(e.what());
+      item->session->mark_failed();
       ServeMetrics::get().session_failures.inc();
       BBMG_LOG_ERROR("serve.session_failed", e.what(),
                      {{"session", item->session->id().index()}});

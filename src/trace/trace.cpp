@@ -20,10 +20,6 @@ Period::Period(std::vector<TaskExecution> executions,
             });
 }
 
-bool Period::executed(TaskId task) const {
-  return execution_of(task) != nullptr;
-}
-
 const TaskExecution* Period::execution_of(TaskId task) const {
   for (const auto& e : executions_) {
     if (e.task == task) return &e;

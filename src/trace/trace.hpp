@@ -42,9 +42,6 @@ class Period {
     return messages_;
   }
 
-  /// Did `task` execute in this period?
-  [[nodiscard]] bool executed(TaskId task) const;
-
   /// Execution record for `task`, or nullptr if it did not run.
   [[nodiscard]] const TaskExecution* execution_of(TaskId task) const;
 

@@ -189,12 +189,6 @@ TEST(Text, NumberFormattingAndParsing) {
   EXPECT_EQ(u, UINT64_MAX);
   EXPECT_FALSE(parse_u64("12x", u));
   EXPECT_FALSE(parse_u64("", u));
-  double d = 0;
-  EXPECT_TRUE(parse_double("3.5", d));
-  EXPECT_DOUBLE_EQ(d, 3.5);
-  EXPECT_FALSE(parse_double("nope", d));
-  EXPECT_TRUE(starts_with("rise 5 100", "rise"));
-  EXPECT_FALSE(starts_with("ri", "rise"));
 }
 
 TEST(TextTable, RendersAlignedColumns) {

@@ -35,7 +35,7 @@ TEST(Scenarios, IdealizedLayoutKeepsTopologicalOrder) {
   for (const auto& period : t.periods()) {
     // t1 is always first; t4 (if present) always last.
     EXPECT_EQ(period.executions().front().task.index(), 0u);
-    if (period.executed(TaskId{3u})) {
+    if (period.execution_of(TaskId{3u}) != nullptr) {
       EXPECT_EQ(period.executions().back().task.index(), 3u);
     }
   }

@@ -32,7 +32,6 @@ TEST(Candidates, PaperPeriodOne) {
   EXPECT_EQ(pc.candidates(1).size(), 2u);
   EXPECT_TRUE(has_pair(pc.candidates(1), T1, T4));
   EXPECT_TRUE(has_pair(pc.candidates(1), T2, T4));
-  EXPECT_EQ(pc.total_candidates(), 4u);
 }
 
 TEST(Candidates, PaperPeriodThree) {

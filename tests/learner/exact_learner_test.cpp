@@ -1,8 +1,10 @@
-// Exact-learner specifics: failure modes, dedup, instrumentation.
+// Exact-learner specifics: failure modes, dedup, dominance pruning,
+// instrumentation.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "core/exact_learner.hpp"
+#include "gen/random_model.hpp"
 #include "gen/scenarios.hpp"
 
 namespace bbmg {
@@ -104,6 +106,51 @@ TEST(ExactLearner, RepeatedIdenticalPeriodsConverge) {
   for (std::size_t size : r.stats.frontier_after_period) {
     EXPECT_EQ(size, 1u);
   }
+}
+
+// Dominance pruning must not change the result, only the peak frontier.
+class DominancePruning : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DominancePruning, ResultsIdenticalWithAndWithout) {
+  RandomModelParams params;
+  params.num_tasks = 5;
+  params.num_layers = 3;
+  params.extra_edge_density = 0.25;
+  params.seed = GetParam();
+  const Trace trace =
+      idealized_trace(random_model(params), 6, GetParam() * 7 + 3);
+
+  ExactConfig plain;
+  plain.max_frontier = 100000;
+  ExactConfig pruned = plain;
+  pruned.dominance_pruning = true;
+
+  LearnResult a;
+  LearnResult b;
+  try {
+    a = learn_exact(trace, plain);
+    b = learn_exact(trace, pruned);
+  } catch (const Error&) {
+    GTEST_SKIP() << "frontier exploded for this seed";
+  }
+  ASSERT_EQ(a.hypotheses.size(), b.hypotheses.size());
+  for (const auto& h : a.hypotheses) {
+    bool found = false;
+    for (const auto& x : b.hypotheses) found |= (x == h);
+    EXPECT_TRUE(found);
+  }
+  // Pruning can only shrink the peak frontier.
+  EXPECT_LE(b.stats.peak_hypotheses, a.stats.peak_hypotheses);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DominancePruning,
+                         ::testing::Range<std::uint64_t>(1, 9));
+
+TEST(DominancePruning, PaperExampleUnchanged) {
+  ExactConfig pruned;
+  pruned.dominance_pruning = true;
+  const LearnResult r = learn_exact(paper_example_trace(), pruned);
+  EXPECT_EQ(r.hypotheses.size(), 5u);
 }
 
 }  // namespace

@@ -233,25 +233,10 @@ TEST(Monitor, RendersTextAndJson) {
 
 TEST(Aggregate, RollupsAcrossEndpoints) {
   TsStore store;
-  store.append("shard0", "bbmg_serve_connections_total", 0, 3);
-  store.append("shard1", "bbmg_serve_connections_total", 0, 7);
-  store.append("shard0", "bbmg_serve_queue_depth{worker=\"0\"}", 0, 2);
-  store.append("shard0", "bbmg_serve_queue_depth{worker=\"1\"}", 0, 5);
-  store.append("shard1", "bbmg_serve_queue_depth{worker=\"0\"}", 0, 4);
-
-  EXPECT_EQ(sum_latest(store, "bbmg_serve_connections_total"), 10);
-  EXPECT_EQ(max_latest(store, "bbmg_serve_connections_total"), 7);
-  EXPECT_EQ(total_queue_depth(store), 11);
-
-  // Counter rates sum across endpoints.
   store.append("shard0", "bbmg_serve_periods_applied_total", 0, 0);
   store.append("shard0", "bbmg_serve_periods_applied_total", 10'000, 100);
   store.append("shard1", "bbmg_serve_periods_applied_total", 0, 0);
   store.append("shard1", "bbmg_serve_periods_applied_total", 10'000, 300);
-  EXPECT_DOUBLE_EQ(sum_rate_per_sec(store,
-                                    "bbmg_serve_periods_applied_total",
-                                    10'000, 10'000),
-                   40.0);
 
   // Replication lag pairs "<name>" with "<name>-follower".
   store.append("shard0-follower", "bbmg_serve_periods_applied_total",

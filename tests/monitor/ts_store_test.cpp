@@ -1,6 +1,6 @@
 // TsStore: delta-encoded series round trips, two-block ring rotation,
-// backwards-timestamp clamping, counter-rate semantics, and the index
-// queries the aggregation/SLO layers navigate by.
+// backwards-timestamp clamping, and the index queries the aggregation/SLO
+// layers navigate by.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -72,29 +72,6 @@ TEST(Series, RingRotationKeepsAtLeastOneFullBlock) {
   // Delta coding earns its keep: 1 s cadence + small deltas must be far
   // under the 16 bytes/sample a flat array would pay.
   EXPECT_LT(s.encoded_bytes(), out.size() * 16);
-}
-
-TEST(TsStore, RatePerSecOfMonotoneCounter) {
-  TsStore store;
-  // 100 events/s for 10 s.
-  for (std::uint64_t t = 0; t <= 10'000; t += 1000) {
-    store.append("e0", "reqs_total", t, static_cast<std::int64_t>(t / 10));
-  }
-  EXPECT_DOUBLE_EQ(store.rate_per_sec("e0", "reqs_total", 10'000, 10'000),
-                   100.0);
-  // Window narrower than the data: still 100/s from the window's edges.
-  EXPECT_DOUBLE_EQ(store.rate_per_sec("e0", "reqs_total", 4'000, 10'000),
-                   100.0);
-}
-
-TEST(TsStore, RateIsZeroOnResetOrSparseData) {
-  TsStore store;
-  EXPECT_DOUBLE_EQ(store.rate_per_sec("e0", "m", 1000, 1000), 0.0);
-  store.append("e0", "m", 0, 5000);
-  EXPECT_DOUBLE_EQ(store.rate_per_sec("e0", "m", 1000, 500), 0.0);
-  // Counter reset (endpoint restart): non-increasing reads as no traffic.
-  store.append("e0", "m", 1000, 10);
-  EXPECT_DOUBLE_EQ(store.rate_per_sec("e0", "m", 2000, 1000), 0.0);
 }
 
 TEST(TsStore, IndexQueriesAndStats) {

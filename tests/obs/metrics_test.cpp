@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "support/metrics.hpp"
 
 namespace bbmg::obs {
 namespace {
@@ -54,7 +55,7 @@ TEST(Metrics, RegistrationIsIdempotent) {
   Histogram& h2 = reg.histogram("bbmg_same_us", {9, 9, 9});  // bounds ignored
   EXPECT_EQ(&h1, &h2);
   EXPECT_EQ(h2.upper_bounds(), (std::vector<std::uint64_t>{1, 2, 3}));
-  EXPECT_EQ(reg.num_metrics(), 2u);
+  EXPECT_EQ(num_metrics(reg), 2u);
 }
 
 TEST(Metrics, HistogramBucketBoundariesAreInclusiveUpperBounds) {
@@ -117,12 +118,12 @@ TEST(Metrics, SnapshotFindsMetricsByName) {
   reg.histogram("bbmg_c_us", {10}).observe(4);
   const MetricsSnapshot snap = reg.snapshot();
   ASSERT_NE(snap.find_counter("bbmg_a_total"), nullptr);
-  ASSERT_NE(snap.find_gauge("bbmg_b"), nullptr);
-  ASSERT_NE(snap.find_histogram("bbmg_c_us"), nullptr);
+  ASSERT_NE(find_gauge(snap, "bbmg_b"), nullptr);
+  ASSERT_NE(find_histogram(snap, "bbmg_c_us"), nullptr);
   EXPECT_EQ(snap.find_counter("bbmg_missing"), nullptr);
   EXPECT_EQ(snap.counter_value("bbmg_a_total"), kEnabled ? 3u : 0u);
   EXPECT_EQ(snap.counter_value("bbmg_missing"), 0u);
-  EXPECT_EQ(snap.find_gauge("bbmg_b")->value, kEnabled ? -7 : 0);
+  EXPECT_EQ(find_gauge(snap, "bbmg_b")->value, kEnabled ? -7 : 0);
 }
 
 TEST(Metrics, SnapshotIsNameSorted) {

@@ -60,13 +60,15 @@ TEST(LearnerAllocations, ChildrenReuseStorageAtBounds16And64) {
 }
 
 // At bound 1 no child is copied, so every allocation is per-period work:
-// 2334 for the 1601 children of this trace (1.46 each).
+// 535 for the 1601 children of this trace (0.33 each).  Most of it is one
+// candidate-pair vector per message, reserved once to its exact size;
+// growing those vectors by push_back made 2334 (1.46 each).
 TEST(LearnerAllocations, Bound1FoldsChildrenInPlace) {
   if (!obs::kAllocTrackEnabled) {
     GTEST_SKIP() << "allocation shim compiled out (sanitizer build)";
   }
   const Tally t = learn_gm(1);
-  EXPECT_LT(t.per_child(), 1.5) << t.allocs << " allocations for "
+  EXPECT_LT(t.per_child(), 0.5) << t.allocs << " allocations for "
                                 << t.created << " hypotheses";
 }
 

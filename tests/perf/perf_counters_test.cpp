@@ -19,6 +19,7 @@
 #include "obs/perf/perf_counters.hpp"
 #include "obs/perf/perf_span.hpp"
 #include "obs/span.hpp"
+#include "support/metrics.hpp"
 
 namespace bbmg::obs {
 namespace {
@@ -88,7 +89,7 @@ TEST(PerfFallback, ThisThreadIsConsistentAndPublishesGauge) {
   }
 
   const MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
-  const GaugeSample* g = snap.find_gauge("bbmg_perf_hw_supported");
+  const GaugeSample* g = find_gauge(snap, "bbmg_perf_hw_supported");
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->value, a.supported() ? 1 : 0);
 }

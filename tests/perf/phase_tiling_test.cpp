@@ -14,6 +14,7 @@
 #include "obs/alloc_track.hpp"
 #include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
+#include "support/metrics.hpp"
 
 namespace bbmg {
 namespace {
@@ -26,9 +27,12 @@ struct ProfilerReading {
 ProfilerReading read(const obs::PhaseProfiler& profiler) {
   ProfilerReading r;
   for (std::size_t i = 0; i < profiler.num_phases(); ++i) {
+    const std::string& phase = profiler.phase_name(i);
     r.ns.push_back(profiler.phase_ns(i));
-    r.calls.push_back(profiler.phase_calls(i));
-    r.allocs.push_back(profiler.phase_allocs(i));
+    r.calls.push_back(
+        obs::phase_counter("bbmg_learner_phase_calls_total", phase));
+    r.allocs.push_back(
+        obs::phase_counter("bbmg_learner_phase_allocs_total", phase));
   }
   r.total_ns = profiler.total_ns();
   return r;

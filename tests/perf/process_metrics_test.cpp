@@ -6,6 +6,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/process_metrics.hpp"
+#include "support/metrics.hpp"
 
 namespace bbmg::obs {
 namespace {
@@ -29,15 +30,15 @@ TEST(ProcessMetrics, RefreshPublishesGauges) {
   refresh_process_metrics();
   const MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
 
-  const GaugeSample* rss = snap.find_gauge("bbmg_process_rss_bytes");
+  const GaugeSample* rss = find_gauge(snap, "bbmg_process_rss_bytes");
   ASSERT_NE(rss, nullptr);
   EXPECT_GT(rss->value, 0);
 
-  const GaugeSample* vm = snap.find_gauge("bbmg_process_vm_bytes");
+  const GaugeSample* vm = find_gauge(snap, "bbmg_process_vm_bytes");
   ASSERT_NE(vm, nullptr);
   EXPECT_GE(vm->value, rss->value);
 
-  const GaugeSample* fds = snap.find_gauge("bbmg_process_open_fds");
+  const GaugeSample* fds = find_gauge(snap, "bbmg_process_open_fds");
   ASSERT_NE(fds, nullptr);
   EXPECT_GE(fds->value, 3);
 
@@ -64,7 +65,7 @@ TEST(ProcessMetrics, CpuCounterIsMonotoneAcrossRefreshes) {
   std::vector<char> ballast(32u << 20, 1);
   refresh_process_metrics();
   const MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
-  const GaugeSample* rss = snap.find_gauge("bbmg_process_rss_bytes");
+  const GaugeSample* rss = find_gauge(snap, "bbmg_process_rss_bytes");
   ASSERT_NE(rss, nullptr);
   EXPECT_GT(rss->value, 0);
   EXPECT_GT(ballast[1 << 20], 0);

@@ -12,6 +12,7 @@
 #include "obs/metrics.hpp"
 #include "obs/perf/perf_counters.hpp"
 #include "obs/profiler.hpp"
+#include "support/metrics.hpp"
 
 namespace bbmg::obs {
 namespace {
@@ -40,12 +41,14 @@ TEST(ProfilerStride, CountsAreExactAtStrides1_16_256) {
 
     // Stride-scaled counters reproduce the stride-1 totals exactly.
     EXPECT_EQ(profiler.phase_ns(0), kUnits * kNsPerUnit) << "stride " << stride;
-    EXPECT_EQ(profiler.phase_calls(0), kUnits) << "stride " << stride;
+    EXPECT_EQ(phase_counter(prefix + "_phase_calls_total", "alpha"), kUnits)
+        << "stride " << stride;
     EXPECT_EQ(profiler.phase_ns(1), kUnits * 3 * kNsPerUnit);
-    EXPECT_EQ(profiler.phase_calls(1), kUnits * 2);
+    EXPECT_EQ(phase_counter(prefix + "_phase_calls_total", "beta"),
+              kUnits * 2);
     EXPECT_EQ(profiler.units(), kUnits);
     EXPECT_EQ(profiler.total_ns(), kUnits * 4 * kNsPerUnit);
-    EXPECT_DOUBLE_EQ(profiler.attributed_fraction(), 1.0);
+    EXPECT_DOUBLE_EQ(attributed_fraction(profiler), 1.0);
   }
 }
 
@@ -63,8 +66,10 @@ TEST(ProfilerStride, UnitLapsTileAndScaleAtStrides1_16_256) {
       unit.lap(1, /*calls=*/2);
     }
     EXPECT_EQ(profiler.units(), kUnits) << "stride " << stride;
-    EXPECT_EQ(profiler.phase_calls(0), kUnits) << "stride " << stride;
-    EXPECT_EQ(profiler.phase_calls(1), 2 * kUnits) << "stride " << stride;
+    EXPECT_EQ(phase_counter(prefix + "_phase_calls_total", "alpha"), kUnits)
+        << "stride " << stride;
+    EXPECT_EQ(phase_counter(prefix + "_phase_calls_total", "beta"), 2 * kUnits)
+        << "stride " << stride;
     // The laps tile each unit, so the named phases carry its whole time.
     EXPECT_EQ(profiler.phase_ns(0) + profiler.phase_ns(1), profiler.total_ns())
         << "stride " << stride;
@@ -103,7 +108,7 @@ TEST(ProfilerStride, StrideZeroDisablesSampling) {
   // An unsampled Unit's laps and destructor record nothing.
   for (int i = 0; i < 100; ++i) PhaseProfiler::Unit(profiler).lap(0);
   EXPECT_EQ(profiler.units(), 0u);
-  EXPECT_EQ(profiler.phase_calls(0), 0u);
+  EXPECT_EQ(phase_counter("test_stride_zero_phase_calls_total", "p"), 0u);
   EXPECT_EQ(profiler.total_ns(), 0u);
 }
 
@@ -123,10 +128,12 @@ TEST(ProfilerStride, HwAndAllocDimensionsScaleIdentically) {
     }
   }
   // 2 sampled units x scale 16.
-  EXPECT_EQ(profiler.phase_cycles(0), 320u);
-  EXPECT_EQ(profiler.phase_instructions(0), 960u);
-  EXPECT_EQ(profiler.phase_alloc_bytes(0), 4096u);
-  EXPECT_EQ(profiler.phase_allocs(0), 128u);
+  EXPECT_EQ(phase_counter("test_stride_dims_hw_cycles_total", "p"), 320u);
+  EXPECT_EQ(phase_counter("test_stride_dims_hw_instructions_total", "p"),
+            960u);
+  EXPECT_EQ(phase_counter("test_stride_dims_phase_alloc_bytes_total", "p"),
+            4096u);
+  EXPECT_EQ(phase_counter("test_stride_dims_phase_allocs_total", "p"), 128u);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "serve/net.hpp"
 #include "serve/server.hpp"
 #include "support/gm_trace.hpp"
+#include "support/metrics.hpp"
 
 namespace bbmg {
 namespace {
@@ -176,7 +177,7 @@ TEST(ServerEndToEnd, MetricsRoundTripOverTheWire) {
     EXPECT_GE(snap.counter_value("bbmg_serve_queries_total"), 1u);
     EXPECT_GE(snap.counter_value("bbmg_serve_connections_total"), 1u);
     const obs::HistogramSample* lat =
-        snap.find_histogram("bbmg_serve_enqueue_apply_latency_us");
+        find_histogram(snap, "bbmg_serve_enqueue_apply_latency_us");
     ASSERT_NE(lat, nullptr);
     EXPECT_GE(lat->count, trace.num_periods());
     // A drained session's shard queues are empty again.

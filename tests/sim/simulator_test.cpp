@@ -22,7 +22,7 @@ void check_learnability_invariants(const SystemModel& model, const Trace& t) {
   for (const auto& period : t.periods()) {
     for (std::size_t i = 0; i < model.num_tasks(); ++i) {
       if (model.tasks()[i].activation == ActivationPolicy::Source) {
-        EXPECT_TRUE(period.executed(TaskId{i}))
+        EXPECT_NE(period.execution_of(TaskId{i}), nullptr)
             << "source task did not run: " << model.tasks()[i].name;
       }
     }

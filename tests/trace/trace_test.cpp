@@ -23,8 +23,8 @@ TEST(Period, SortsExecutionsAndMessages) {
 
 TEST(Period, ExecutedAndExecutionOf) {
   Period p({{T0, 10, 20}}, {});
-  EXPECT_TRUE(p.executed(T0));
-  EXPECT_FALSE(p.executed(T1));
+  EXPECT_NE(p.execution_of(T0), nullptr);
+  EXPECT_EQ(p.execution_of(T1), nullptr);
   ASSERT_NE(p.execution_of(T0), nullptr);
   EXPECT_EQ(p.execution_of(T0)->end, 20u);
   EXPECT_EQ(p.execution_of(T1), nullptr);
