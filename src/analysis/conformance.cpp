@@ -47,22 +47,18 @@ void check_period_conformance(const DependencyMatrix& model,
   const PeriodCandidates pc(period, num_tasks);
 
   // Requirement side: assignment-independent.
-  for (std::size_t a = 0; a < num_tasks; ++a) {
-    if (!pc.executed(a)) continue;
-    for (std::size_t b = 0; b < num_tasks; ++b) {
-      if (a == b || pc.executed(b)) continue;
-      const DepValue v = model.at(a, b);
-      if (dep_requires_forward(v) || dep_requires_backward(v)) {
-        ConformanceViolation violation;
-        violation.kind = ViolationKind::UnmetRequirement;
-        violation.period_index = period_index;
-        violation.a = TaskId{a};
-        violation.b = TaskId{b};
-        violation.entry = v;
-        out.push_back(violation);
-      }
+  pc.for_each_ran_idle([&](std::size_t a, std::size_t b) {
+    const DepValue v = model.at(a, b);
+    if (dep_requires_forward(v) || dep_requires_backward(v)) {
+      ConformanceViolation violation;
+      violation.kind = ViolationKind::UnmetRequirement;
+      violation.period_index = period_index;
+      violation.a = TaskId{a};
+      violation.b = TaskId{b};
+      violation.entry = v;
+      out.push_back(violation);
     }
-  }
+  });
 
   // Permission side: the messages must be explainable.
   AssignmentProbe probe(model, pc);

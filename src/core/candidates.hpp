@@ -17,6 +17,7 @@
 // A_m2 = {(t1,t4),(t2,t4)}.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -32,28 +33,71 @@ struct CandidatePair {
   std::uint32_t pair_index{0};  // sender*num_tasks + receiver
 };
 
-/// All per-message candidate sets of one period, plus the executed-task
-/// mask the period-end post-processing needs.
+/// A read-only view of a contiguous run of T inside a PeriodCandidates.
+/// Not std::span: perfbench sets no C++ standard, so the headers it
+/// includes compile as gnu++17.  Valid while its PeriodCandidates lives.
+template <class T>
+class ConstView {
+ public:
+  ConstView(const T* first, const T* last) : first_(first), last_(last) {}
+
+  [[nodiscard]] const T* begin() const { return first_; }
+  [[nodiscard]] const T* end() const { return last_; }
+  [[nodiscard]] std::size_t size() const {
+    return static_cast<std::size_t>(last_ - first_);
+  }
+  [[nodiscard]] bool empty() const { return first_ == last_; }
+  [[nodiscard]] const T& operator[](std::size_t i) const { return first_[i]; }
+
+ private:
+  const T* first_;
+  const T* last_;
+};
+
+/// All per-message candidate sets of one period, plus the split of the
+/// tasks into those that ran and those that did not, which the period-end
+/// post-processing, the co-execution history and the matching function
+/// need.
+///
+/// Every pair of the period sits in one flat array, message after message,
+/// in sender-major order; offsets_ marks where each message's set starts.
+/// The tasks sit in one index array too: the ones that ran, ascending,
+/// then the ones that did not, ascending.
 class PeriodCandidates {
  public:
   PeriodCandidates(const Period& period, std::size_t num_tasks);
 
-  [[nodiscard]] std::size_t num_messages() const { return per_message_.size(); }
-  [[nodiscard]] const std::vector<CandidatePair>& candidates(
-      std::size_t msg) const {
-    return per_message_[msg];
+  [[nodiscard]] std::size_t num_messages() const { return offsets_.size() - 1; }
+  [[nodiscard]] ConstView<CandidatePair> candidates(std::size_t msg) const {
+    return {pairs_.data() + offsets_[msg], pairs_.data() + offsets_[msg + 1]};
   }
-  [[nodiscard]] bool executed(std::size_t task) const {
-    return executed_[task];
+
+  /// Tasks that executed in the period, ascending.
+  [[nodiscard]] ConstView<std::uint32_t> ran() const {
+    return {tasks_.data(), tasks_.data() + num_ran_};
   }
-  [[nodiscard]] const std::vector<bool>& executed_mask() const {
-    return executed_;
+  /// Tasks that did not execute in the period, ascending.
+  [[nodiscard]] ConstView<std::uint32_t> idle() const {
+    return {tasks_.data() + num_ran_, tasks_.data() + tasks_.size()};
   }
-  [[nodiscard]] std::size_t num_tasks() const { return executed_.size(); }
+  [[nodiscard]] std::size_t num_tasks() const { return tasks_.size(); }
+
+  /// Calls f(a, b) for every ordered pair where a ran and b did not,
+  /// ordered by a, then by b.  These are exactly the pairs whose
+  /// requirement claims (->, <-, <->: "if a executes, b executes") the
+  /// period refutes.
+  template <class F>
+  void for_each_ran_idle(F&& f) const {
+    for (const std::uint32_t a : ran()) {
+      for (const std::uint32_t b : idle()) f(std::size_t{a}, std::size_t{b});
+    }
+  }
 
  private:
-  std::vector<std::vector<CandidatePair>> per_message_;
-  std::vector<bool> executed_;
+  std::vector<CandidatePair> pairs_;
+  std::vector<std::uint32_t> offsets_;  // num_messages + 1 entries
+  std::vector<std::uint32_t> tasks_;    // ran ascending, then idle ascending
+  std::size_t num_ran_{0};
 };
 
 }  // namespace bbmg

@@ -45,7 +45,7 @@ LearnResult learn_exact(const Trace& trace, const ExactConfig& config) {
 
     for (std::size_t msg = 0; msg < pc.num_messages(); ++msg) {
       ++stats.messages_processed;
-      const auto& cands = pc.candidates(msg);
+      const auto cands = pc.candidates(msg);
 
       std::vector<Hypothesis> next;
       HypothesisIndex index;

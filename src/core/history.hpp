@@ -29,12 +29,8 @@ class CoExecutionHistory {
 
   /// Fold one completed period into the history.
   void record_period(const PeriodCandidates& pc) {
-    for (std::size_t a = 0; a < n_; ++a) {
-      if (!pc.executed(a)) continue;
-      for (std::size_t b = 0; b < n_; ++b) {
-        if (!pc.executed(b)) ran_without_[a * n_ + b] = 1;
-      }
-    }
+    pc.for_each_ran_idle(
+        [&](std::size_t a, std::size_t b) { ran_without_[a * n_ + b] = 1; });
   }
 
   /// Fold one *untrusted* (quarantined) period into the history.

@@ -13,16 +13,12 @@ namespace {
 /// indirect, §2.1), so a requirement on pair (a,b) is violated exactly when
 /// a executed and b did not.  Requirements are assignment-independent.
 bool requirements_hold(const DependencyMatrix& d, const PeriodCandidates& pc) {
-  const std::size_t n = d.num_tasks();
-  for (std::size_t a = 0; a < n; ++a) {
-    if (!pc.executed(a)) continue;
-    for (std::size_t b = 0; b < n; ++b) {
-      if (a == b || pc.executed(b)) continue;
-      const DepValue v = d.at(a, b);
-      if (dep_requires_forward(v) || dep_requires_backward(v)) return false;
-    }
-  }
-  return true;
+  bool hold = true;
+  pc.for_each_ran_idle([&](std::size_t a, std::size_t b) {
+    const DepValue v = d.at(a, b);
+    if (dep_requires_forward(v) || dep_requires_backward(v)) hold = false;
+  });
+  return hold;
 }
 
 }  // namespace

@@ -135,7 +135,7 @@ OnlineLearner::OnlineLearner(std::size_t num_tasks, const OnlineConfig& config)
   BoundedList list(config_.bound, stats_);
   for (std::size_t msg = 0; msg < pc.num_messages(); ++msg) {
     ++stats_.messages_processed;
-    const auto& cands = pc.candidates(msg);
+    const auto cands = pc.candidates(msg);
     if (vspace_stats_ != nullptr) {
       // Branching factor offered by this message, and the scan the loop
       // below performs (every frontier member against every candidate).

@@ -3,21 +3,17 @@
 namespace bbmg {
 
 void weaken_unmet_requirements(Hypothesis& h, const PeriodCandidates& pc) {
-  const std::size_t n = h.d.num_tasks();
-  for (std::size_t a = 0; a < n; ++a) {
-    if (!pc.executed(a)) continue;  // requirements on a are vacuous
-    for (std::size_t b = 0; b < n; ++b) {
-      if (a == b || pc.executed(b)) continue;
-      // a ran, b did not: both "a always determines b" (->, needs b to have
-      // executed) and "a always depends on b" (<-, needs b to have
-      // executed) are refuted by this period and weakened to their
-      // conditional forms.  <-> loses both claims and becomes <->?.
-      DepValue v = h.d.at(a, b);
-      if (dep_requires_forward(v)) v = dep_weaken_forward_requirement(v);
-      if (dep_requires_backward(v)) v = dep_weaken_backward_requirement(v);
-      if (v != h.d.at(a, b)) h.d.set(a, b, v);
-    }
-  }
+  // Requirements on a task that did not run are vacuous.  For a that ran
+  // and b that did not, both "a always determines b" (->, needs b to have
+  // executed) and "a always depends on b" (<-, needs b to have executed)
+  // are refuted by this period and weakened to their conditional forms.
+  // <-> loses both claims and becomes <->?.
+  pc.for_each_ran_idle([&](std::size_t a, std::size_t b) {
+    DepValue v = h.d.at(a, b);
+    if (dep_requires_forward(v)) v = dep_weaken_forward_requirement(v);
+    if (dep_requires_backward(v)) v = dep_weaken_backward_requirement(v);
+    if (v != h.d.at(a, b)) h.d.set(a, b, v);
+  });
 }
 
 void weaken_possibly_unmet_requirements(Hypothesis& h,
@@ -47,6 +43,8 @@ void insert_unique(std::vector<Hypothesis>& out, HypothesisIndex& index,
 }
 
 void remove_duplicates_and_redundant(std::vector<Hypothesis>& frontier) {
+  // Bound 1's period end and most quarantined periods: nothing to unify.
+  if (frontier.size() < 2) return;
   // Unify equal matrices (assumptions are expected to be cleared already,
   // but equality on Hypothesis covers both fields, so this is safe either
   // way).

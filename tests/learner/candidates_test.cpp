@@ -2,6 +2,10 @@
 // the worked example's A_m sets.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "core/candidates.hpp"
 #include "gen/scenarios.hpp"
 
@@ -13,7 +17,7 @@ constexpr TaskId T2{1u};
 constexpr TaskId T3{2u};
 constexpr TaskId T4{3u};
 
-bool has_pair(const std::vector<CandidatePair>& pairs, TaskId s, TaskId r) {
+bool has_pair(ConstView<CandidatePair> pairs, TaskId s, TaskId r) {
   for (const auto& p : pairs) {
     if (p.sender == s && p.receiver == r) return true;
   }
@@ -53,16 +57,26 @@ TEST(Candidates, PaperPeriodThree) {
   EXPECT_EQ(pc.candidates(3).size(), 3u);
 }
 
+std::vector<std::uint32_t> tasks(ConstView<std::uint32_t> v) {
+  return {v.begin(), v.end()};
+}
+
 TEST(Candidates, ExecutedMaskMatchesPeriod) {
+  // Ran tasks ascending, then the ones that did not run, ascending.
   const Trace trace = paper_example_trace();
   const PeriodCandidates p1(trace.periods()[0], 4);
-  EXPECT_TRUE(p1.executed(0));
-  EXPECT_TRUE(p1.executed(1));
-  EXPECT_FALSE(p1.executed(2));
-  EXPECT_TRUE(p1.executed(3));
+  EXPECT_EQ(tasks(p1.ran()), (std::vector<std::uint32_t>{0, 1, 3}));
+  EXPECT_EQ(tasks(p1.idle()), (std::vector<std::uint32_t>{2}));
+  EXPECT_EQ(p1.num_tasks(), 4u);
   const PeriodCandidates p2(trace.periods()[1], 4);
-  EXPECT_FALSE(p2.executed(1));
-  EXPECT_TRUE(p2.executed(2));
+  EXPECT_EQ(tasks(p2.ran()), (std::vector<std::uint32_t>{0, 2, 3}));
+  EXPECT_EQ(tasks(p2.idle()), (std::vector<std::uint32_t>{1}));
+
+  std::vector<std::pair<std::size_t, std::size_t>> walked;
+  p1.for_each_ran_idle(
+      [&](std::size_t a, std::size_t b) { walked.emplace_back(a, b); });
+  EXPECT_EQ(walked, (std::vector<std::pair<std::size_t, std::size_t>>{
+                        {0, 2}, {1, 2}, {3, 2}}));
 }
 
 TEST(Candidates, BoundaryTimesInclusive) {
@@ -80,6 +94,31 @@ TEST(Candidates, BoundaryTimesInclusive) {
   const PeriodCandidates pc(t.periods()[0], 2);
   ASSERT_EQ(pc.candidates(0).size(), 1u);
   EXPECT_TRUE(has_pair(pc.candidates(0), TaskId{0u}, TaskId{1u}));
+}
+
+TEST(Candidates, ReceiverSuffixStartsExactlyAtFall) {
+  // The receivers are the executions starting at or after the fall: one
+  // starting exactly at it is a receiver, one starting 1 ns before is not.
+  TraceBuilder b({"s", "early", "edge", "late"});
+  b.begin_period();
+  b.add_event(Event::task_start(0, TaskId{0u}));
+  b.add_event(Event::task_end(10, TaskId{0u}));
+  b.add_event(Event::msg_rise(10, 1));
+  b.add_event(Event::task_start(19, TaskId{1u}));
+  b.add_event(Event::msg_fall(20, 1));
+  b.add_event(Event::task_start(20, TaskId{2u}));
+  b.add_event(Event::task_end(25, TaskId{1u}));
+  b.add_event(Event::task_start(26, TaskId{3u}));
+  b.add_event(Event::task_end(30, TaskId{2u}));
+  b.add_event(Event::task_end(40, TaskId{3u}));
+  b.end_period();
+  const Trace t = b.take();
+  const PeriodCandidates pc(t.periods()[0], 4);
+  const ConstView<CandidatePair> pairs = pc.candidates(0);
+  ASSERT_EQ(pairs.size(), 2u);
+  EXPECT_FALSE(has_pair(pairs, TaskId{0u}, TaskId{1u}));  // starts at fall-1
+  EXPECT_EQ(pairs[0].receiver, TaskId{2u});  // starts at the fall
+  EXPECT_EQ(pairs[1].receiver, TaskId{3u});
 }
 
 TEST(Candidates, NoSenderBeforeRiseMeansEmptySet) {

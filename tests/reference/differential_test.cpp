@@ -97,7 +97,7 @@ void run_bounded(const Trace& trace, std::size_t bound, std::size_t periods,
         std::to_string(i);
     if (std::find(quarantined.begin(), quarantined.end(), i) !=
         quarantined.end()) {
-      std::vector<bool> observed = PeriodCandidates(period, n).executed_mask();
+      std::vector<bool> observed = reference::Candidates(period, n).executed;
       observed[i % n] = false;
       ref.observe_quarantined_period(observed);
       got.observe_quarantined_period(observed);

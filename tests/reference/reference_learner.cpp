@@ -11,12 +11,12 @@ namespace bbmg::reference {
 
 // -- post-processing (paper §3.1) --------------------------------------------
 
-void weaken_unmet_requirements(Hypothesis& h, const PeriodCandidates& pc) {
+void weaken_unmet_requirements(Hypothesis& h, const Candidates& pc) {
   const std::size_t n = h.d.num_tasks();
   for (std::size_t a = 0; a < n; ++a) {
-    if (!pc.executed(a)) continue;
+    if (!pc.executed[a]) continue;
     for (std::size_t b = 0; b < n; ++b) {
-      if (a == b || pc.executed(b)) continue;
+      if (a == b || pc.executed[b]) continue;
       DepValue v = h.d.at(a, b);
       if (dep_requires_forward(v)) v = dep_weaken_forward_requirement(v);
       if (dep_requires_backward(v)) v = dep_weaken_backward_requirement(v);
@@ -83,7 +83,7 @@ void remove_duplicates_and_redundant(std::vector<Hypothesis>& frontier) {
 }
 
 void post_process_period(std::vector<Hypothesis>& frontier,
-                         const PeriodCandidates& pc) {
+                         const Candidates& pc) {
   for (auto& h : frontier) {
     weaken_unmet_requirements(h, pc);
     h.used.clear();
@@ -168,12 +168,12 @@ BoundedLearner::BoundedLearner(std::size_t num_tasks, std::size_t bound)
 }
 
 void BoundedLearner::observe_period(const Period& period) {
-  const PeriodCandidates pc(period, num_tasks_);
-  for (std::size_t msg = 0; msg < pc.num_messages(); ++msg) {
+  const Candidates pc(period, num_tasks_);
+  for (std::size_t msg = 0; msg < pc.per_message.size(); ++msg) {
     ++stats_.messages_processed;
     BoundedList list(bound_, stats_);
     for (const Hypothesis& h : frontier_) {
-      for (const CandidatePair& p : pc.candidates(msg)) {
+      for (const CandidatePair& p : pc.per_message[msg]) {
         if (h.pair_used(p)) continue;
         Hypothesis child = h;
         child.assume(p, history_);
@@ -191,7 +191,7 @@ void BoundedLearner::observe_period(const Period& period) {
   post_process_period(frontier_, pc);
   ++stats_.periods_processed;
   stats_.frontier_after_period.push_back(frontier_.size());
-  history_.record_period(pc);
+  history_.record_period(pc.executed);
 }
 
 void BoundedLearner::observe_quarantined_period(
@@ -235,14 +235,14 @@ ExactLearner::ExactLearner(std::size_t num_tasks, std::size_t max_frontier)
 
 void ExactLearner::observe_period(const Period& period) {
   const std::size_t period_no = stats_.periods_processed + 1;
-  const PeriodCandidates pc(period, num_tasks_);
-  for (std::size_t msg = 0; msg < pc.num_messages(); ++msg) {
+  const Candidates pc(period, num_tasks_);
+  for (std::size_t msg = 0; msg < pc.per_message.size(); ++msg) {
     ++stats_.messages_processed;
     std::vector<Hypothesis> next;
     std::unordered_map<std::uint64_t, std::vector<std::size_t>> index;
     next.reserve(frontier_.size());
     for (const Hypothesis& h : frontier_) {
-      for (const CandidatePair& p : pc.candidates(msg)) {
+      for (const CandidatePair& p : pc.per_message[msg]) {
         if (h.pair_used(p)) continue;
         Hypothesis child = h;
         child.assume(p, history_);
@@ -268,7 +268,7 @@ void ExactLearner::observe_period(const Period& period) {
   post_process_period(frontier_, pc);
   ++stats_.periods_processed;
   stats_.frontier_after_period.push_back(frontier_.size());
-  history_.record_period(pc);
+  history_.record_period(pc.executed);
 }
 
 std::vector<Matrix> ExactLearner::matrices() const {

@@ -13,28 +13,28 @@
 // This code is a test-only target, never linked into a product library.
 // Leave it slow and simple; its value is that it does not change when the
 // product learners are optimised.  It runs on its own frozen matrix and
-// hypothesis (reference_matrix.hpp) and shares only the lattice value
-// functions, PeriodCandidates and CoExecutionHistory with the product.
+// hypothesis (reference_matrix.hpp) and its own frozen candidate sets and
+// co-execution history (reference_inputs.hpp), and shares only the lattice
+// value functions with the product.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
-#include "core/candidates.hpp"
-#include "core/history.hpp"
 #include "core/learn_result.hpp"
+#include "reference/reference_inputs.hpp"
 #include "reference/reference_matrix.hpp"
 #include "trace/trace.hpp"
 
 namespace bbmg::reference {
 
 /// Paper §3.1 post-processing steps 1-4 (cf. core/post_process.hpp).
-void weaken_unmet_requirements(Hypothesis& h, const PeriodCandidates& pc);
+void weaken_unmet_requirements(Hypothesis& h, const Candidates& pc);
 void weaken_possibly_unmet_requirements(Hypothesis& h,
                                         const std::vector<bool>& observed);
 void remove_duplicates_and_redundant(std::vector<Hypothesis>& frontier);
 void post_process_period(std::vector<Hypothesis>& frontier,
-                         const PeriodCandidates& pc);
+                         const Candidates& pc);
 
 /// The bounded heuristic of §3.2, period by period (cf. OnlineLearner).
 class BoundedLearner {
@@ -52,7 +52,7 @@ class BoundedLearner {
  private:
   std::size_t num_tasks_;
   std::size_t bound_;
-  CoExecutionHistory history_;
+  History history_;
   std::vector<Hypothesis> frontier_;
   LearnStats stats_;
 };
@@ -73,7 +73,7 @@ class ExactLearner {
  private:
   std::size_t num_tasks_;
   std::size_t max_frontier_;
-  CoExecutionHistory history_;
+  History history_;
   std::vector<Hypothesis> frontier_;
   LearnStats stats_;
 };

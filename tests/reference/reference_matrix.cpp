@@ -46,8 +46,7 @@ std::uint64_t Matrix::hash() const {
   return h;
 }
 
-void Hypothesis::assume(const CandidatePair& pair,
-                        const CoExecutionHistory& history) {
+void Hypothesis::assume(const CandidatePair& pair, const History& history) {
   const std::size_t s = pair.sender.index();
   const std::size_t r = pair.receiver.index();
 

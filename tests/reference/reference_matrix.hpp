@@ -10,8 +10,9 @@
 // with weight() here, so a wrong cached weight, a wrong fused join or a
 // changed cell layout shows up as a difference.  Only the lattice value
 // functions (lattice/dependency_value.hpp, the definition of the lattice,
-// pinned by the frozen truth tables in tests/lattice) and the per-period
-// inputs (PeriodCandidates, CoExecutionHistory) are shared.
+// pinned by the frozen truth tables in tests/lattice) and the
+// CandidatePair record are shared; the per-period inputs are the frozen
+// copies in reference_inputs.hpp.
 #pragma once
 
 #include <cstddef>
@@ -21,8 +22,8 @@
 
 #include "common/bitset.hpp"
 #include "core/candidates.hpp"
-#include "core/history.hpp"
 #include "lattice/dependency_value.hpp"
+#include "reference/reference_inputs.hpp"
 
 namespace bbmg::reference {
 
@@ -67,7 +68,7 @@ struct Hypothesis {
   /// Minimal generalization admitting a message from pair.sender to
   /// pair.receiver, weakened on the spot where `history` refutes a new
   /// requirement (cf. core/hypothesis.hpp).
-  void assume(const CandidatePair& pair, const CoExecutionHistory& history);
+  void assume(const CandidatePair& pair, const History& history);
 
   [[nodiscard]] bool pair_used(const CandidatePair& pair) const {
     return used.test(pair.pair_index);
